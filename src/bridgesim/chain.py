@@ -173,6 +173,9 @@ class Chain:
         self.executed_seq: dict[bytes, int] = {}
         self.pending: list[Transaction] = []
         self._next_seq: dict[bytes, int] = {}
+        # txs built by make_transaction and not yet submitted, by hash; their
+        # hash was computed from their own fields, so submit need not redo it
+        self._built: dict[bytes, Transaction] = {}
         self._produced = 0  # distinct-hash salt across branches
         self.tick = 0
         genesis = Block(
@@ -202,7 +205,7 @@ class Chain:
                          value: int = 0) -> Transaction:
         seq = self._next_seq.get(sender, 0)
         self._next_seq[sender] = seq + 1
-        return Transaction(
+        tx = Transaction(
             tx_hash=self._tx_hash(sender, recipient, payload, value, seq),
             sender=sender,
             recipient=recipient,
@@ -210,6 +213,8 @@ class Chain:
             value=value,
             seq=seq,
         )
+        self._built[tx.tx_hash] = tx
+        return tx
 
     def _tx_hash(self, sender, recipient, payload, value, seq) -> bytes:
         preimage = (
@@ -238,8 +243,15 @@ class Chain:
     # -- core operations -----------------------------------------------------
 
     def submit_transaction(self, tx: Transaction) -> bytes:
-        expected = self._tx_hash(tx.sender, tx.recipient, tx.payload, tx.value, tx.seq)
-        if tx.tx_hash != expected:
+        """Queue ``tx`` for the next block; its hash must match its fields.
+
+        The hash is recomputed unless ``tx`` is the very object this chain's
+        `make_transaction` returned, so a copy with edited fields is checked.
+        """
+        if self._built.get(tx.tx_hash) is tx:
+            del self._built[tx.tx_hash]
+        elif tx.tx_hash != self._tx_hash(tx.sender, tx.recipient, tx.payload,
+                                         tx.value, tx.seq):
             raise ChainError("transaction hash does not match canonical encoding")
         if (tx.tx_hash in self.tx_index
                 or any(p.tx_hash == tx.tx_hash for p in self.pending)):
@@ -337,8 +349,9 @@ class Chain:
         for _ in range(depth):
             self._append(self._execute_block([], self.tick, enforce_seq=False))
         replayed = tuple(tx.tx_hash for tx in new_first.transactions)
+        replayed_set = set(replayed)
         excluded = tuple(tx.tx_hash for tx in replay
-                         if tx.tx_hash not in set(replayed))
+                         if tx.tx_hash not in replayed_set)
         return ReorgRecord(depth=depth, old_head=head,
                            new_head=self.blocks[-1].number,
                            dropped=dropped, replayed=replayed,

@@ -85,6 +85,31 @@ class TestBasics:
         with pytest.raises(ChainError):
             chain.submit_transaction(replace(tx, value=999))
 
+    def test_edited_copy_of_built_tx_rejected(self):
+        chain = make_chain()
+        tx = chain.make_transaction(
+            sender=ALICE, recipient=STORE,
+            payload=encode_function_call("setValue(uint128)", [1]))
+        from dataclasses import replace
+        for forged in (replace(tx, value=999),
+                       replace(tx, payload=encode_function_call(
+                           "setValue(uint128)", [2]))):
+            assert forged.tx_hash == tx.tx_hash
+            with pytest.raises(ChainError):
+                chain.submit_transaction(forged)
+        assert chain.submit_transaction(tx) == tx.tx_hash
+        assert chain.mine_block(tick=1).transactions == (tx,)
+
+    def test_tx_built_by_twin_chain_accepted(self):
+        chain, twin = make_chain(), make_chain()
+        tx = twin.make_transaction(
+            sender=ALICE, recipient=STORE,
+            payload=encode_function_call("setValue(uint128)", [5]))
+        chain.submit_transaction(tx)
+        chain.mine_block(tick=1)
+        assert chain.get_transaction(tx.tx_hash) == (tx, 1)
+        assert chain.contracts[STORE].state["value"] == 5
+
     def test_reverted_tx_included_with_receipt(self):
         chain = make_chain()
         tx = chain.make_transaction(sender=ALICE, recipient=STORE,

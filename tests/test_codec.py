@@ -27,7 +27,9 @@ from bridgesim.codec import (
     selector,
 )
 
-from keccak_ref import keccak256_ref
+from bridgesim.keccak import _permute
+
+from keccak_ref import _keccak_f, keccak256_ref
 
 VECTORS = pathlib.Path(__file__).parent.parent / "vectors" / "hash_vectors.txt"
 
@@ -84,10 +86,22 @@ class TestHashes:
         assert checked >= 20
 
     def test_keccak_matches_reference_across_block_boundaries(self):
+        # every length up to 3 blocks + 1: covers the one-byte pad (0x81) at
+        # length 135 mod 136 and inputs that absorb 2, 3 and 4 blocks
         rng = random.Random(1)
-        for n in (0, 1, 55, 134, 135, 136, 137, 271, 272, 273, 1000):
+        for n in [*range(3 * 136 + 2), 1000]:
             data = rng.randbytes(n)
-            assert keccak256(data) == keccak256_ref(data)
+            assert keccak256(data) == keccak256_ref(data), n
+
+    def test_permutation_matches_reference(self):
+        rng = random.Random(2)
+        for _ in range(5):
+            lanes = [rng.getrandbits(64) for _ in range(25)]
+            # the reference indexes lane x + 5*y as a[x][y]
+            expected = _keccak_f([[lanes[x + 5 * y] for y in range(5)]
+                                  for x in range(5)])
+            _permute(lanes)
+            assert lanes == [expected[i % 5][i // 5] for i in range(25)]
 
     def test_blake2b_is_stdlib(self):
         data = b"cross-check"

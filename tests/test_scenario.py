@@ -1,10 +1,11 @@
 """Scenario engine, report classification, threat matrix, CLI."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from bridgesim import ConfigError, ScenarioConfig, World, run_scenario
+from bridgesim import ConfigError, ScenarioConfig, World, codec, run_scenario
 from bridgesim.cli import main as cli_main
 from bridgesim.suite import SUITE
 
@@ -72,6 +73,34 @@ class TestDeterminism:
                                             workload=simple_workload()))
         assert base.classification == other.classification == "low"
         assert [d[0] for d in base.delivered] == [d[0] for d in other.delivered]
+
+
+class TestWork:
+    def test_source_transactions_hashed_once(self, monkeypatch):
+        digests = Counter()
+        keccak = codec.HASH_ALGS["keccak256"]
+
+        def counted(data):
+            digest = keccak(data)
+            digests[digest] += 1
+            return digest
+
+        monkeypatch.setitem(codec.HASH_ALGS, "keccak256", counted)
+        codec.selector.cache_clear()
+        workload = [
+            {"tick": 1 + i // 5, "action": "request_transfer",
+             "call": {"signature": "setValue(uint128)", "args": [i]}}
+            for i in range(50)
+        ]
+        world = World(ScenarioConfig(workload=workload, max_ticks=600))
+        report = world.run()
+        assert len(report.delivered) == 50
+        txs = [tx for b in world.source.blocks for tx in b.transactions]
+        assert len(txs) == 50
+        assert all(digests[tx.tx_hash] == 1 for tx in txs)
+        # keccak source, blake2b dest: per transfer one tx hash and one
+        # event digest, plus one hash per source block (genesis included)
+        assert sum(digests.values()) == 2 * 50 + len(world.source.all_blocks)
 
 
 class TestClassification:
