@@ -141,7 +141,7 @@ def _u64(v: int) -> bytes:
 
 
 class AdapterContract:
-    """One adapter instance; state lives in a plain dict for snapshotting."""
+    """One adapter instance; its state dict is journaled by the chain."""
 
     kind = "adapter"
 

@@ -4,17 +4,24 @@ One `Chain` owns a canonical list of blocks, a pending transaction pool, the
 registered contract handlers and their state, and account balances. Every
 block ever produced (including orphaned branches) is retained in a side store
 that only the harness oracle reads; protocol actors see canonical data only.
+
+State is rolled back by one undo log: every write to `balances`,
+`executed_seq` or a registered contract's `state` (nested maps included)
+appends ``(map, key, prior value)``, and the chain records the log length at
+the end of each canonical block. A reorg undoes the log back to the fork
+block's mark, and a reverted contract call back to the mark taken at its
+start, so a rollback costs one step per write undone at any depth.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 from dataclasses import dataclass, field, replace
 
-from .codec import hash_bytes
+from .codec import HASH_ALGS, hash_bytes
 
 ZERO32 = b"\x00" * 32
+_ABSENT = object()  # undo-log prior value of a key that did not exist
 
 
 class ChainError(Exception):
@@ -45,6 +52,36 @@ class Revert(Exception):
         self.reason = reason
 
 
+class JournaledMap(dict):
+    """Chain state map whose writes append their prior values to the undo log.
+
+    Item assignment is the only mutator; the others would bypass the log, so
+    they raise `TypeError`.
+    """
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: list, items=()):
+        super().__init__(items)
+        self._log = log
+
+    def __setitem__(self, key, value) -> None:
+        self._log.append((self, key, self.get(key, _ABSENT)))
+        dict.__setitem__(self, key, value)
+
+    def _unlogged(self, *args, **kwargs):
+        raise TypeError("chain state changes only by item assignment")
+
+    __delitem__ = __ior__ = clear = pop = popitem = _unlogged
+    setdefault = update = _unlogged
+
+
+def _journaled(log: list, state: dict) -> JournaledMap:
+    return JournaledMap(log, {
+        k: _journaled(log, v) if isinstance(v, dict) else v
+        for k, v in state.items()})
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     network_id: str
@@ -55,6 +92,8 @@ class ChainConfig:
     def __post_init__(self):
         if not self.network_id:
             raise ChainError("network_id must be non-empty")
+        if self.hash_alg not in HASH_ALGS:
+            raise ChainError(f"unknown hash_alg {self.hash_alg!r}")
         if self.block_time_ticks < 1:
             raise ChainError("block_time_ticks must be >= 1")
         if self.finality_depth < 0:
@@ -142,12 +181,11 @@ class DispatchContext:
 
     def call_contract(self, target: bytes, sender: bytes, value: int,
                       payload: bytes) -> tuple[str, str]:
-        """Nested contract call; a revert rolls back only the callee."""
+        """Nested contract call; a revert undoes every write it made."""
         handler = self.chain.contracts.get(target)
         if handler is None:
             return "failed", "UnknownRecipient"
-        snapshot = pickle.dumps(handler.state)
-        balances_before = dict(self.chain.balances)
+        mark = len(self.chain._log)
         events_mark = len(self.events)
         try:
             if value:
@@ -155,8 +193,7 @@ class DispatchContext:
             handler.dispatch(self, sender, value, payload)
             return "ok", ""
         except Revert as r:
-            handler.state = pickle.loads(snapshot)
-            self.chain.balances = balances_before
+            self.chain._undo(mark)
             del self.events[events_mark:]
             return "failed", r.reason
 
@@ -164,13 +201,13 @@ class DispatchContext:
 class Chain:
     """Canonical chain plus pending pool, contract registry and side store."""
 
-    SNAPSHOT_DEPTH = 128
-
     def __init__(self, config: ChainConfig):
         self.config = config
+        self._log: list[tuple[JournaledMap, object, object]] = []
+        self._marks = [0]  # undo-log length at the end of each canonical block
         self.contracts: dict[bytes, object] = {}
-        self.balances: dict[bytes, int] = {}
-        self.executed_seq: dict[bytes, int] = {}
+        self.balances = JournaledMap(self._log)
+        self.executed_seq = JournaledMap(self._log)
         self.pending: list[Transaction] = []
         self._next_seq: dict[bytes, int] = {}
         # txs built by make_transaction and not yet submitted, by hash; their
@@ -190,16 +227,14 @@ class Chain:
         self.blocks: list[Block] = [genesis]
         self.all_blocks: dict[bytes, Block] = {genesis.block_hash: genesis}
         self.tx_index: dict[bytes, int] = {}  # canonical tx hash -> block number
-        self._snapshots: dict[int, bytes] = {0: self._snapshot()}
 
     # -- construction helpers ------------------------------------------------
 
     def register_contract(self, handler) -> None:
         if handler.address in self.contracts:
             raise ChainError("contract address already registered")
+        handler.state = _journaled(self._log, handler.state)
         self.contracts[handler.address] = handler
-        if len(self.blocks) == 1:
-            self._snapshots[0] = self._snapshot()
 
     def make_transaction(self, sender: bytes, recipient: bytes, payload: bytes,
                          value: int = 0) -> Transaction:
@@ -269,15 +304,14 @@ class Chain:
         return block
 
     def _execute_block(self, txs: list[Transaction], tick: int,
-                       enforce_seq: bool, number: int | None = None) -> Block:
+                       enforce_seq: bool) -> Block:
         """Execute txs in order against current state; returns the sealed block.
 
         ``enforce_seq`` (replay path) silently drops txs whose per-sender
         sequence is gapped, so dependents of a dropped tx never land
         out of order.
         """
-        if number is None:
-            number = self.blocks[-1].number + 1
+        number = self.blocks[-1].number + 1
         parent = self.blocks[-1].block_hash
         included: list[Transaction] = []
         events: list[EventLog] = []
@@ -321,10 +355,17 @@ class Chain:
         self.all_blocks[block.block_hash] = block
         for tx in block.transactions:
             self.tx_index[tx.tx_hash] = block.number
-        self._snapshots[block.number] = self._snapshot()
-        stale = block.number - self.SNAPSHOT_DEPTH
-        if stale > 0:
-            self._snapshots.pop(stale, None)
+        self._marks.append(len(self._log))
+
+    def _undo(self, mark: int) -> None:
+        """Restore every state write logged after position ``mark``."""
+        log = self._log
+        for target, key, prior in reversed(log[mark:]):
+            if prior is _ABSENT:
+                dict.__delitem__(target, key)
+            else:
+                dict.__setitem__(target, key, prior)
+        del log[mark:]
 
     def inject_reorg(self, depth: int, drop_txs: set[bytes] = frozenset()) -> ReorgRecord:
         head = self.blocks[-1].number
@@ -337,12 +378,12 @@ class Chain:
         dropped = tuple(tx.tx_hash for b in orphaned for tx in b.transactions
                         if tx.tx_hash in drop_txs)
         # rewind
-        self._restore(fork)
+        self._undo(self._marks[fork])
         del self.blocks[fork + 1:]
+        del self._marks[fork + 1:]
         for b in orphaned:
             for tx in b.transactions:
                 self.tx_index.pop(tx.tx_hash, None)
-            self._snapshots.pop(b.number, None)
         # new, strictly longer branch: replay everything into its first block
         new_first = self._execute_block(replay, self.tick, enforce_seq=True)
         self._append(new_first)
@@ -419,33 +460,7 @@ class Chain:
     def faulty_view(self, corruption: ViewCorruption) -> "ChainView":
         return ChainView(self, corruption)
 
-    # -- state snapshots -----------------------------------------------------
-
-    def _snapshot(self) -> bytes:
-        states = {addr: c.state for addr, c in self.contracts.items()}
-        return pickle.dumps((states, self.balances, self.executed_seq))
-
-    def _restore(self, number: int) -> None:
-        blob = self._snapshots.get(number)
-        if blob is None:
-            # deeper than the ring buffer: rebuild from genesis by re-execution
-            states, balances, seqs = pickle.loads(self._snapshots[0])
-            self._apply_state(states, balances, seqs)
-            for b in self.blocks[1:number + 1]:
-                rebuilt = self._execute_block(list(b.transactions), b.tick,
-                                              enforce_seq=False, number=b.number)
-                assert rebuilt.transactions == b.transactions
-            return
-        states, balances, seqs = pickle.loads(blob)
-        self._apply_state(states, balances, seqs)
-
-    def _apply_state(self, states, balances, seqs) -> None:
-        for addr, st in states.items():
-            self.contracts[addr].state = st
-        self.balances = balances
-        self.executed_seq = seqs
-
-    # -- canonical structured-text dump/restore ------------------------------
+    # -- canonical structured-text dump --------------------------------------
 
     def dump_state(self) -> str:
         """Canonical text snapshot (stable field order) for golden tests."""
@@ -476,19 +491,6 @@ class Chain:
         }
         return json.dumps(doc, indent=1, sort_keys=True)
 
-    def restore_state(self, text: str) -> None:
-        """Apply contract state and balances from a dump to this chain.
-
-        The same contract handlers must already be registered; block history
-        is not rewritten.
-        """
-        doc = json.loads(text)
-        if doc["network_id"] != self.config.network_id:
-            raise ChainError("snapshot belongs to a different network")
-        self.balances = {bytes.fromhex(a): v for a, v in doc["balances"].items()}
-        for addr_hex, state in doc["contracts"].items():
-            self.contracts[bytes.fromhex(addr_hex)].state = _from_text(state)
-
 
 def _to_text(value):
     if isinstance(value, (bytes, bytearray)):
@@ -499,17 +501,6 @@ def _to_text(value):
         ): _to_text(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_to_text(v) for v in value]
-    return value
-
-
-def _from_text(value):
-    if isinstance(value, str) and value.startswith("0x"):
-        return bytes.fromhex(value[2:])
-    if isinstance(value, dict):
-        return {(bytes.fromhex(k[2:]) if isinstance(k, str) and k.startswith("0x")
-                 else k): _from_text(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_from_text(v) for v in value]
     return value
 
 

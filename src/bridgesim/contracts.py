@@ -63,7 +63,7 @@ class MintableToken(UserContract):
         elif name == "burn":
             if balances.get(holder, 0) < amount:
                 raise Revert("InsufficientBalance")
-            balances[holder] -= amount
+            balances[holder] = balances.get(holder, 0) - amount
             self.state["total_supply"] -= amount
 
 

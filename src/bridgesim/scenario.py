@@ -19,11 +19,13 @@ from .adapter import (
     encode_admin_set,
     encode_process_transfer,
     encode_request_transfer,
+    event_attr,
 )
 from .bridge import BridgeConfig, BridgeNode
 from .chain import (
     Chain,
     ChainConfig,
+    ChainError,
     ChainView,
     EventLog,
     Transaction,
@@ -39,7 +41,7 @@ from .codec import (
 )
 from .contracts import MintableToken, RejectingContract, StorageContract
 from .oracle import causality_oracle
-from .signatory import Signatory
+from .signatory import BEHAVIOR_MODES, Signatory
 
 IMPACT_LEVELS = ("low", "medium", "high")
 
@@ -81,6 +83,14 @@ class ScenarioConfig:
         n = len(self.signatory_modes)
         if n < 1:
             raise ConfigError("at least one signatory required")
+        unknown = [m for m in self.signatory_modes if m not in BEHAVIOR_MODES]
+        if unknown:
+            raise ConfigError(f"unknown signatory modes: {unknown}")
+        for side in ("source", "dest"):
+            try:
+                ChainConfig(**getattr(self, side))
+            except (ChainError, TypeError) as e:
+                raise ConfigError(f"bad {side} chain: {e}") from None
         if self.quorum_size is None:
             self.quorum_size = default_quorum(n)
         if not 1 <= self.quorum_size <= n:
@@ -275,7 +285,7 @@ class World:
             self._monitor_cursor[name] = head
             for ev in chain.get_events(self.adapters[name].address,
                                        "ConfigChanged", start, head):
-                fieldname = _attr(ev, "field").decode()
+                fieldname = event_attr(ev, "field").decode()
                 if (name, fieldname) in expected:
                     continue
                 self.config_alarm_log.append(
@@ -540,13 +550,14 @@ class World:
         for ev in self.source.get_events(source_adapter,
                                          "BridgeTransferRequested",
                                          0, self.source.head_number()):
-            requested.append(int.from_bytes(_attr(ev, "transferId"), "big"))
+            requested.append(
+                int.from_bytes(event_attr(ev, "transferId"), "big"))
         delivered = []
         delivered_ids = set()
         for ev in self.dest.get_events(dest_adapter, "Processed",
                                        0, self.dest.head_number()):
-            tid = int.from_bytes(_attr(ev, "transferId"), "big")
-            delivered.append([tid, _attr(ev, "sourceTxHash").hex(),
+            tid = int.from_bytes(event_attr(ev, "transferId"), "big")
+            delivered.append([tid, event_attr(ev, "sourceTxHash").hex(),
                               ev.block_number])
             delivered_ids.add(tid)
         stalls = []
@@ -581,13 +592,6 @@ class World:
             alarms=alarms,
             classification=classification,
         )
-
-
-def _attr(ev, key: str) -> bytes:
-    for k, v in ev.attributes:
-        if k == key:
-            return v
-    raise KeyError(key)
 
 
 def run_scenario(config: ScenarioConfig, on_tick=None) -> ScenarioReport:

@@ -1,4 +1,4 @@
-"""Simulated chain: ordering, reorgs, canonical reads, snapshots."""
+"""Simulated chain: ordering, reorgs, undo-log rollback, canonical reads, dumps."""
 
 import random
 
@@ -12,16 +12,19 @@ from bridgesim import (
     DuplicateTransaction,
     InvalidRange,
     InvalidReorg,
+    MintableToken,
     StorageContract,
     blake2b256,
     encode_function_call,
 )
-from bridgesim.chain import ChainError
+from bridgesim.chain import ChainError, Revert
 from bridgesim.codec import hash_bytes
 
 ALICE = blake2b256(b"acct:alice")
 BOB = blake2b256(b"acct:bob")
+CAROL = blake2b256(b"acct:carol")
 STORE = blake2b256(b"contract:store")
+TOKEN = blake2b256(b"contract:token")
 
 
 def make_chain(alg="keccak256", finality=6) -> Chain:
@@ -53,6 +56,8 @@ class TestBasics:
             ChainConfig(network_id="x", block_time_ticks=0)
         with pytest.raises(ChainError):
             ChainConfig(network_id="x", finality_depth=-1)
+        with pytest.raises(ChainError):
+            ChainConfig(network_id="x", hash_alg="md5")
 
     def test_fifo_within_block(self):
         chain = make_chain()
@@ -120,6 +125,17 @@ class TestBasics:
         receipt = chain.get_receipt(tx.tx_hash)
         assert receipt.status == "reverted"
         assert chain.contracts[STORE].state["value"] == 0
+
+    def test_zero_burn_for_unknown_holder_succeeds(self):
+        chain = make_chain()
+        chain.register_contract(MintableToken(TOKEN))
+        tx = chain.make_transaction(
+            sender=ALICE, recipient=TOKEN,
+            payload=encode_function_call("burn(address,uint128)", [BOB, 0]))
+        chain.submit_transaction(tx)
+        chain.mine_block(tick=1)
+        assert chain.get_receipt(tx.tx_hash).status == "ok"
+        assert chain.contracts[TOKEN].state["balances"] == {BOB: 0}
 
     def test_plain_value_transfer(self):
         chain = make_chain()
@@ -255,17 +271,28 @@ class TestReorg:
 
     def test_reorg_deeper_than_snapshot_ring(self):
         chain = make_chain()
-        target = chain.SNAPSHOT_DEPTH + 10
+        target = 138
         for t in range(1, target + 1):
             if t % 7 == 0:
                 set_value(chain, t)
             chain.mine_block(tick=t)
         value_before_fork = chain.contracts[STORE].state["value"]
-        depth = target - 2  # rewinds well past the retained snapshots
+        depth = target - 2  # rewinds nearly to genesis
         chain.inject_reorg(depth=depth)
         assert chain.head_number() == target + 1
         # all state changes from the replayed suffix still present
         assert chain.contracts[STORE].state["value"] == value_before_fork
+
+    def test_deep_reorg_salts_follow_old_head(self):
+        # a rollback re-executes nothing, so only the new branch bumps the salt
+        chain = make_chain()
+        for t in range(1, 141):
+            chain.mine_block(tick=t)
+        old_salt = chain.get_block(chain.head_number()).salt
+        chain.inject_reorg(depth=136)
+        salts = [chain.get_block(n).salt
+                 for n in range(5, chain.head_number() + 1)]
+        assert salts == list(range(old_salt + 1, old_salt + 138))
 
     def test_reorg_then_continue_mining(self):
         chain = make_chain()
@@ -279,16 +306,6 @@ class TestReorg:
 
 
 class TestSnapshots:
-    def test_dump_restore_round_trip(self):
-        chain = make_chain()
-        set_value(chain, 5)
-        chain.mine_block(tick=1)
-        dump = chain.dump_state()
-        other = make_chain()
-        other.restore_state(dump)
-        assert other.contracts[STORE].state == chain.contracts[STORE].state
-        assert other.balances == chain.balances
-
     def test_dump_is_deterministic(self):
         def build():
             chain = make_chain()
@@ -298,11 +315,118 @@ class TestSnapshots:
             return chain.dump_state()
         assert build() == build()
 
-    def test_restore_rejects_foreign_network(self):
+
+class WriteThenRevert:
+    """Writes a top-level and a nested key, moves value, emits, reverts."""
+
+    def __init__(self, address):
+        self.address = address
+        self.state = {"touched": 0, "nested": {}}
+
+    def dispatch(self, ctx, sender, value, payload):
+        self.state["touched"] = 1
+        self.state["nested"][sender] = 5
+        ctx.transfer(self.address, BOB, 7)
+        ctx.emit(self.address, "Touched", [])
+        raise Revert("Nope")
+
+
+class Caller:
+    """Writes, emits, then calls `target` with value 3 and records the status."""
+
+    def __init__(self, address, target):
+        self.address = address
+        self.target = target
+        self.state = {"calls": 0, "status": ""}
+
+    def dispatch(self, ctx, sender, value, payload):
+        self.state["calls"] = 1
+        ctx.emit(self.address, "Before", [])
+        status, _ = ctx.call_contract(self.target, self.address, 3, b"")
+        self.state["status"] = status
+
+
+def rollback_chain() -> Chain:
+    """A chain with storage and token contracts and no out-of-block writes."""
+    chain = Chain(ChainConfig(network_id="testnet", hash_alg="blake2b256"))
+    chain.register_contract(StorageContract(STORE))
+    chain.register_contract(MintableToken(TOKEN))
+    return chain
+
+
+def chain_state(chain: Chain):
+    return (chain.balances, chain.executed_seq,
+            {a: c.state for a, c in chain.contracts.items()})
+
+
+class TestRollback:
+    def test_nested_revert_undoes_callee_only(self):
+        callee, caller = blake2b256(b"callee"), blake2b256(b"caller")
         chain = make_chain()
-        other = Chain(ChainConfig(network_id="elsewhere"))
-        with pytest.raises(ChainError):
-            other.restore_state(chain.dump_state())
+        chain.register_contract(WriteThenRevert(callee))
+        chain.register_contract(Caller(caller, callee))
+        balances = dict(chain.balances)
+        tx = chain.make_transaction(sender=ALICE, recipient=caller, payload=b"")
+        chain.submit_transaction(tx)
+        block = chain.mine_block(tick=1)
+        assert chain.get_receipt(tx.tx_hash).status == "ok"
+        assert chain.contracts[caller].state == {"calls": 1, "status": "failed"}
+        assert chain.contracts[callee].state == {"touched": 0, "nested": {}}
+        assert chain.balances == balances  # both value moves undone
+        assert [e.name for e in block.events] == ["Before"]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m.pop(ALICE, None),
+        lambda m: m.popitem(),
+        lambda m: m.update({ALICE: 1}),
+        lambda m: m.setdefault(ALICE, 1),
+        lambda m: m.clear(),
+        lambda m: m.__delitem__(ALICE),
+        lambda m: m.__ior__({ALICE: 1}),
+    ], ids=["pop", "popitem", "update", "setdefault", "clear", "del", "ior"])
+    def test_unlogged_mutators_raise(self, mutate):
+        chain = rollback_chain()
+        for m in (chain.balances, chain.executed_seq,
+                  chain.contracts[STORE].state,
+                  chain.contracts[TOKEN].state["balances"]):
+            with pytest.raises(TypeError):
+                mutate(m)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 1000),
+                              st.sampled_from([ALICE, BOB, CAROL]),
+                              st.booleans()), min_size=10, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_state_equals_replay_of_canonical_blocks(self, schedule):
+        chain = rollback_chain()
+        for step, (op, arg, sender, flag) in enumerate(schedule):
+            other = CAROL if sender == BOB else BOB
+            if op == 0:
+                set_value(chain, arg, sender=sender)
+            elif op in (1, 2):
+                call = "mint(address,uint128)" if op == 1 \
+                    else "burn(address,uint128)"
+                chain.submit_transaction(chain.make_transaction(
+                    sender=sender, recipient=TOKEN, value=arg % 3,
+                    payload=encode_function_call(call, [other, arg % 50])))
+            elif op == 3:
+                chain.submit_transaction(chain.make_transaction(
+                    sender=sender, recipient=other, payload=b"", value=arg))
+            elif op == 4:
+                chain.mine_block(tick=step + 1)
+            elif chain.head_number() >= 1:
+                depth = 1 + arg % chain.head_number()
+                suffix = [tx.tx_hash
+                          for n in range(chain.head_number() - depth + 1,
+                                         chain.head_number() + 1)
+                          for tx in chain.get_block(n).transactions]
+                drop = {suffix[arg % len(suffix)]} if flag and suffix else set()
+                chain.inject_reorg(depth=depth, drop_txs=drop)
+        fresh = rollback_chain()
+        for n in range(1, chain.head_number() + 1):
+            for tx in chain.get_block(n).transactions:
+                fresh.submit_transaction(tx)
+            fresh.mine_block(tick=n)
+        assert chain_state(chain) == chain_state(fresh)
 
 
 class TestDeterminism:

@@ -201,6 +201,18 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 2
         assert "invalid scenario file" in capsys.readouterr().err
 
+    def test_malformed_scenarios_exit_2_with_one_line(self, tmp_path, capsys):
+        for doc in ({"source": {"network_id": "a", "bogus": 1}},
+                    {"signatory_modes": ["honest", "evil"]},
+                    {"dest": {"network_id": "b", "hash_alg": "md5"}},
+                    {"dest": {"network_id": "b", "finality_depth": -1}}):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            assert cli_main(["run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid scenario file")
+            assert err.count("\n") == 1
+
     def test_demo(self, capsys):
         assert cli_main(["demo"]) == 0
         out = capsys.readouterr().out
