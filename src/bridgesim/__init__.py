@@ -33,7 +33,7 @@ from .keccak import keccak256
 from .adapter import AdapterContract, ConfigError, default_quorum
 from .bridge import BridgeConfig, BridgeNode, TransferJob
 from .contracts import MintableToken, RejectingContract, StorageContract
-from .oracle import CausalityViolation, causality_oracle, config_change_monitor
+from .oracle import CausalityViolation, causality_oracle
 from .scenario import (
     ScenarioConfig,
     ScenarioReport,

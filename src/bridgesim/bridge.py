@@ -4,6 +4,13 @@ The bridge is a single logical actor advanced once per scheduler tick. All
 job-state transitions are appended to a journal and mirrored into a pickled
 store, so a bridge can be killed at any transition point and rebuilt with
 `BridgeNode.restore` without ever double-delivering a transfer.
+
+Real jobs that are neither `done` nor `stalled` sit in `BridgeNode.live`,
+which `_transition` (the one place a job changes state) keeps and `restore`
+rebuilds. Each step visits only the live jobs, in id order; a job submits
+once no earlier id is still in progress (`IN_PROGRESS`), as the destination
+adapter's nonce check would revert it otherwise. Forged jobs have their own
+list and skip that rule.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from .signatory import SigningRequest
 
 JOB_STATES = ("detected", "awaitingFinality", "collectingSignatures",
               "submitting", "awaitingDestFinality", "done", "stalled")
+FINAL_STATES = ("done", "stalled")
+IN_PROGRESS = JOB_STATES[:4]  # holds back the submission of every later id
 
 
 @dataclass
@@ -86,6 +95,7 @@ class BridgeNode:
         self.dest_chain = dest_chain
         self.post = post
         self.jobs: dict[int, TransferJob] = {}
+        self.live: dict[int, TransferJob] = {}  # real jobs not yet final
         self.forged_jobs: list[TransferJob] = []
         self.journal: list[str] = []
         self.inbox: list = []
@@ -110,6 +120,11 @@ class BridgeNode:
                     detail: str = "") -> None:
         line = f"{tick} | {job.transfer_id} | {job.state} -> {to_state} | {detail}"
         job.state = to_state
+        if not job.forged:
+            if to_state in FINAL_STATES:
+                del self.live[job.transfer_id]
+            else:
+                self.live[job.transfer_id] = job
         self.journal.append(line)
         self._persist(job)
 
@@ -156,6 +171,8 @@ class BridgeNode:
         node.dest_cursor = doc["dest_cursor"]
         node.alarms = doc["alarms"]
         node.paused = doc["paused"]
+        node.live = {tid: job for tid, job in node.jobs.items()
+                     if job.state not in FINAL_STATES}
         for job in node._all_jobs():
             if job.state == "submitting":
                 # the submitted tx may or may not have landed; resubmit
@@ -213,8 +230,11 @@ class BridgeNode:
         self._scan_source(tick)
         self._scan_dest(tick)
         self._collect_responses(tick)
-        for job in sorted(self.jobs.values(), key=lambda j: j.transfer_id):
-            self._advance(job, tick)
+        # in id order: ``blocked`` holds once an earlier id is still in progress
+        blocked = False
+        for _, job in sorted(self.live.items()):
+            self._advance(job, tick, blocked)
+            blocked = blocked or job.state in IN_PROGRESS
         for job in self.forged_jobs:
             self._advance(job, tick)
 
@@ -251,26 +271,22 @@ class BridgeNode:
             self.config.dest_adapter, None, self.dest_cursor + 1, head)
         self.dest_cursor = head
         for ev in events:
-            if ev.name == "Processed":
-                transfer_id = int.from_bytes(event_attr(ev, "transferId"), "big")
-                src_hash = event_attr(ev, "sourceTxHash")
-                for job in self._all_jobs():
-                    if (job.transfer.source_transaction_hash == src_hash
-                            and job.state == "submitting"):
-                        job.processed_block = ev.block_number
-                        if self.inflight is job:
-                            self.inflight = None
-                        self._transition(tick, job, "awaitingDestFinality",
-                                         f"processed at {ev.block_number}")
-            elif ev.name == "AlreadyProcessed":
-                src_hash = event_attr(ev, "sourceTxHash")
-                for job in self._all_jobs():
-                    if (job.transfer.source_transaction_hash == src_hash
-                            and job.state == "submitting"):
-                        if self.inflight is job:
-                            self.inflight = None
-                        self._transition(tick, job, "done",
-                                         "already processed on resubmission")
+            if ev.name not in ("Processed", "AlreadyProcessed"):
+                continue
+            src_hash = event_attr(ev, "sourceTxHash")
+            for job in [*self.live.values(), *self.forged_jobs]:
+                if (job.state != "submitting"
+                        or job.transfer.source_transaction_hash != src_hash):
+                    continue
+                if self.inflight is job:
+                    self.inflight = None
+                if ev.name == "Processed":
+                    job.processed_block = ev.block_number
+                    self._transition(tick, job, "awaitingDestFinality",
+                                     f"processed at {ev.block_number}")
+                else:
+                    self._transition(tick, job, "done",
+                                     "already processed on resubmission")
 
     def _collect_responses(self, tick: int) -> None:
         inbox, self.inbox = self.inbox, []
@@ -298,13 +314,13 @@ class BridgeNode:
                 continue
             job.collected[pub] = sig
 
-    def _advance(self, job: TransferJob, tick: int) -> None:
+    def _advance(self, job: TransferJob, tick: int, blocked=False) -> None:
         if job.state == "awaitingFinality":
             self._advance_finality(job, tick)
         elif job.state == "collectingSignatures":
             self._advance_collecting(job, tick)
         elif job.state == "submitting":
-            self._advance_submitting(job, tick)
+            self._advance_submitting(job, tick, blocked)
         elif job.state == "awaitingDestFinality":
             self._advance_dest_finality(job, tick)
 
@@ -363,7 +379,8 @@ class BridgeNode:
             else:
                 self._broadcast_request(job, tick)
 
-    def _advance_submitting(self, job: TransferJob, tick: int) -> None:
+    def _advance_submitting(self, job: TransferJob, tick: int,
+                            blocked: bool) -> None:
         if self.config.censor_transfer_id == job.transfer_id and not job.forged:
             job.stall_reason = "censored"
             self._transition(tick, job, "stalled", "censored by bridge")
@@ -388,17 +405,9 @@ class BridgeNode:
             # other rejections: retry the identical signed payload
         if self.inflight is not None and self.inflight is not job:
             return  # strictly one in-flight destination submission
-        if not job.forged and self._earlier_in_progress(job):
+        if blocked:
             return  # an earlier id must land first or the nonce check reverts
         self._submit(job, tick)
-
-    def _earlier_in_progress(self, job: TransferJob) -> bool:
-        for other in self.jobs.values():
-            if (other.transfer_id < job.transfer_id
-                    and other.state in ("detected", "awaitingFinality",
-                                        "collectingSignatures", "submitting")):
-                return True
-        return False
 
     def _submit(self, job: TransferJob, tick: int) -> None:
         if not job.submitted_payload:

@@ -457,9 +457,6 @@ class Chain:
             return None
         return self.blocks[-1].number - number
 
-    def faulty_view(self, corruption: ViewCorruption) -> "ChainView":
-        return ChainView(self, corruption)
-
     # -- canonical structured-text dump --------------------------------------
 
     def dump_state(self) -> str:

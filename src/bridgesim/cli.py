@@ -31,8 +31,12 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         config.seed = args.seed
-    world = World(config)
-    report = world.run()
+    try:
+        world = World(config)
+        report = world.run()
+    except ConfigError as exc:
+        print(f"error: invalid scenario file: {exc}", file=sys.stderr)
+        return 2
     text = report.to_text()
     if args.report:
         with open(args.report, "w") as fh:

@@ -92,32 +92,3 @@ def _classify(source_chain: Chain, source_adapter: bytes,
                     and _request_matches(ev, m)):
                 return "sourceRequestOrphaned"
     return "noSourceRequest"
-
-
-@dataclass(frozen=True)
-class ConfigAlarm:
-    network_id: str
-    block_number: int
-    field: str
-
-
-def config_change_monitor(chains: list[Chain],
-                          adapters: dict[str, bytes],
-                          expected: set[tuple[str, str]]) -> list[ConfigAlarm]:
-    """Flag every ConfigChanged event not declared expected.
-
-    ``expected`` holds (network_id, field) pairs the scenario allow-lists.
-    """
-    alarms = []
-    for chain in chains:
-        adapter = adapters[chain.config.network_id]
-        for block in chain.blocks:
-            for ev in block.events:
-                if ev.emitter != adapter or ev.name != "ConfigChanged":
-                    continue
-                fieldname = event_attr(ev, "field").decode()
-                if (chain.config.network_id, fieldname) in expected:
-                    continue
-                alarms.append(ConfigAlarm(chain.config.network_id,
-                                          block.number, fieldname))
-    return alarms

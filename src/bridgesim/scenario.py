@@ -28,6 +28,7 @@ from .chain import (
     ChainError,
     ChainView,
     EventLog,
+    InvalidReorg,
     Transaction,
     ViewCorruption,
 )
@@ -75,7 +76,8 @@ class ScenarioConfig:
     reorg_response: str = "continue"
     censor_transfer_id: int | None = None
     monitor_auto_pause: bool = False
-    expected_config_changes: list = field(default_factory=list)  # [network, field]
+    # allow-listed adapter changes, each [chain role, field]: ["dest", "relayer"]
+    expected_config_changes: list = field(default_factory=list)
     workload: list = field(default_factory=list)
     max_ticks: int = 2000
 
@@ -97,6 +99,12 @@ class ScenarioConfig:
             raise ConfigError("quorum out of bounds")
         if self.reorg_response not in ("pause", "retry", "continue"):
             raise ConfigError(f"bad reorg_response {self.reorg_response!r}")
+        for entry in self.expected_config_changes:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or entry[0] not in ("source", "dest")
+                    or not isinstance(entry[1], str)):
+                raise ConfigError("expected_config_changes entries are "
+                                  f"[source|dest, field], not {entry!r}")
         for action in self.workload:
             if action.get("tick", -1) < 0 or action["tick"] > self.max_ticks:
                 raise ConfigError(f"workload tick out of range: {action}")
@@ -296,11 +304,18 @@ class World:
     # -- workload actions ----------------------------------------------------
 
     def apply_action(self, action: dict) -> None:
+        """Run one workload action; an infeasible one raises ConfigError."""
         kind = action["action"]
+        where = f"workload action {kind!r} at tick {action['tick']}"
         handler = getattr(self, f"_do_{kind}", None)
         if handler is None:
-            raise ConfigError(f"unknown workload action {kind!r}")
-        handler(action)
+            raise ConfigError(f"unknown {where}")
+        try:
+            handler(action)
+        except KeyError as e:
+            raise ConfigError(f"{where}: missing key or label {e}") from None
+        except (ValueError, IndexError, InvalidReorg) as e:
+            raise ConfigError(f"{where}: {e}") from None
 
     def _resolve_arg(self, arg):
         if isinstance(arg, dict):
@@ -521,8 +536,8 @@ class World:
             return False
         if any(self.inboxes.values()):
             return False
-        jobs = self.bridge._all_jobs()
-        return all(j.state in ("done", "stalled") for j in jobs)
+        return not self.bridge.live and all(
+            j.state in ("done", "stalled") for j in self.bridge.forged_jobs)
 
     def run(self, on_tick=None) -> ScenarioReport:
         cfg = self.config

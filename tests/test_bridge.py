@@ -197,6 +197,26 @@ class TestCrashRecovery:
         assert any(m.endswith("-> done") for m in moves)
 
 
+class TestWork:
+    def test_idle_relay_visits_no_job(self):
+        config = ScenarioConfig(
+            workload=[transfer_action(i, 1 + i // 5) for i in range(30)])
+        world, report = run(config)
+        assert [d[0] for d in report.delivered] == list(range(30))
+        bridge = world.bridge
+        calls = []
+        advance = bridge._advance
+
+        def counted(job, tick, *args):
+            calls.append(job.transfer_id)
+            return advance(job, tick, *args)
+
+        bridge._advance = counted
+        for k in range(1, 4):
+            bridge.step(world.tick + k)
+        assert calls == []  # every job is done: none is visited again
+
+
 class TestByzantine:
     def test_flood_is_rate_limited(self):
         config = ScenarioConfig(

@@ -1,4 +1,4 @@
-"""Causality oracle and config-change monitor, on hand-built ground truth."""
+"""Causality oracle, on hand-built ground truth."""
 
 from bridgesim import (
     AdapterContract,
@@ -10,18 +10,15 @@ from bridgesim import (
     blake2b256,
     causality_oracle,
     compute_transfer_hash,
-    config_change_monitor,
     default_quorum,
     encode_function_call,
     keygen,
     sign,
 )
 from bridgesim.adapter import (
-    encode_admin_set,
     encode_process_transfer,
     encode_request_transfer,
 )
-from bridgesim.oracle import ConfigAlarm
 
 OWNER = blake2b256(b"acct:owner")
 ALICE = blake2b256(b"acct:alice")
@@ -140,36 +137,3 @@ class TestCausalityOracle:
         assert v.dest_block_number == dest.tx_index[tx.tx_hash]
         assert v.dest_tx_hash == tx.tx_hash
 
-
-class TestConfigMonitor:
-    def _set_fee(self, chain, adapter_addr, fee):
-        tx = chain.make_transaction(
-            sender=OWNER, recipient=adapter_addr,
-            payload=encode_admin_set("transactionFee", fee))
-        chain.submit_transaction(tx)
-        chain.mine_block(tick=chain.head_number() + 1)
-
-    def test_unexpected_change_flagged(self):
-        source, dest = build_pair()
-        self._set_fee(dest, DST_ADAPTER, 50)
-        alarms = config_change_monitor(
-            [source, dest], {"alpha": SRC_ADAPTER, "beta": DST_ADAPTER},
-            expected=set())
-        assert alarms == [ConfigAlarm("beta", dest.head_number(),
-                                      "transactionFee")]
-
-    def test_allow_listed_change_passes(self):
-        source, dest = build_pair()
-        self._set_fee(dest, DST_ADAPTER, 50)
-        alarms = config_change_monitor(
-            [source, dest], {"alpha": SRC_ADAPTER, "beta": DST_ADAPTER},
-            expected={("beta", "transactionFee")})
-        assert alarms == []
-
-    def test_same_field_other_network_still_flagged(self):
-        source, dest = build_pair()
-        self._set_fee(source, SRC_ADAPTER, 50)
-        alarms = config_change_monitor(
-            [source, dest], {"alpha": SRC_ADAPTER, "beta": DST_ADAPTER},
-            expected={("beta", "transactionFee")})
-        assert [a.network_id for a in alarms] == ["alpha"]

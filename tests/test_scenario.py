@@ -46,6 +46,10 @@ class TestConfig:
             ScenarioConfig(workload=[{"tick": 5000, "action": "pause"}])
         with pytest.raises(ConfigError):
             ScenarioConfig(workload=[{"tick": 1}])
+        for entry in (["beta", "transactionFee"], ["dest"], "dest",
+                      ["dest", 3]):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(expected_config_changes=[entry])
 
     def test_unknown_workload_action_fails_at_runtime(self):
         config = ScenarioConfig(
@@ -151,6 +155,53 @@ class TestClassification:
         assert report.classification == "low"
 
 
+def admin_fee(chain, tick=2, fee=50):
+    return {"tick": tick, "action": "admin_set", "chain": chain,
+            "caller": "owner", "field": "transactionFee", "value": fee}
+
+
+class TestConfigMonitor:
+    """The world's monitor of adapter ConfigChanged events."""
+
+    def _run(self, **kw):
+        world = World(ScenarioConfig(max_ticks=60, **kw))
+        report = world.run()
+        return world, [a for a in report.alarms if a[0] == "config"]
+
+    def test_unexpected_change_flagged(self):
+        world, alarms = self._run(workload=[admin_fee("dest")])
+        [event] = world.dest.get_events(world.adapters["dest"].address,
+                                        "ConfigChanged", 0,
+                                        world.dest.head_number())
+        assert alarms == [["config", "dest", event.block_number,
+                           "transactionFee"]]
+        assert not world.bridge.paused
+
+    def test_allow_listed_change_passes(self):
+        _, alarms = self._run(
+            workload=[admin_fee("dest")],
+            expected_config_changes=[["dest", "transactionFee"]])
+        assert alarms == []
+
+    def test_same_field_other_network_still_flagged(self):
+        _, alarms = self._run(
+            workload=[admin_fee("source")],
+            expected_config_changes=[["dest", "transactionFee"]])
+        assert [a[1] for a in alarms] == ["source"]
+
+    def test_auto_pause_pauses_bridge(self):
+        workload = simple_workload(1) + [admin_fee("dest")]
+        world, alarms = self._run(workload=workload, monitor_auto_pause=True)
+        assert len(alarms) == 1
+        assert world.bridge.paused
+        # the transfer seen at tick 1 never advances past the pause
+        assert [j.state for j in world.bridge.jobs.values()] == \
+            ["awaitingFinality"]
+        world, _ = self._run(workload=workload)
+        assert not world.bridge.paused
+        assert [j.state for j in world.bridge.jobs.values()] == ["done"]
+
+
 class TestThreatMatrix:
     @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)
     def test_outcome_matches_prediction(self, entry):
@@ -205,7 +256,25 @@ class TestCli:
         for doc in ({"source": {"network_id": "a", "bogus": 1}},
                     {"signatory_modes": ["honest", "evil"]},
                     {"dest": {"network_id": "b", "hash_alg": "md5"}},
-                    {"dest": {"network_id": "b", "finality_depth": -1}}):
+                    {"dest": {"network_id": "b", "finality_depth": -1}},
+            {"expected_config_changes": [["beta", "transactionFee"]]},
+            # infeasible workload actions abort the run
+            {"workload": [{"tick": 1, "action": "bogus"}]},
+            {"workload": [{"tick": 1, "action": "request_transfer"}]},
+            {"workload": [{"tick": 3, "action": "inject_reorg", "depth": 1,
+                           "drop": ["undefined"]}]},
+            {"workload": [{"tick": 2, "action": "inject_reorg",
+                           "depth": 50}]},
+            {"workload": [{"tick": 1, "action": "faulty_view",
+                           "target": "nobody",
+                           "corruption": {"kind": "none"}}]},
+            {"workload": [{"tick": 1, "action": "faulty_view",
+                           "target": "signatory:9",
+                           "corruption": {"kind": "none"}}]},
+            {"workload": [{"tick": 1, "action": "admin_set",
+                           "field": "bogus", "value": 1}]},
+            {"workload": [{"tick": 1, "action": "admin_set",
+                           "field": "relayer", "value": {"hex": "zz"}}]}):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert cli_main(["run", str(path)]) == 2
