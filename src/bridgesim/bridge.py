@@ -5,17 +5,30 @@ job-state transitions are appended to a journal and mirrored into a pickled
 store, so a bridge can be killed at any transition point and rebuilt with
 `BridgeNode.restore` without ever double-delivering a transfer.
 
-Real jobs that are neither `done` nor `stalled` sit in `BridgeNode.live`,
-which `_transition` (the one place a job changes state) keeps and `restore`
-rebuilds. Each step visits only the live jobs, in id order; a job submits
-once no earlier id is still in progress (`IN_PROGRESS`), as the destination
-adapter's nonce check would revert it otherwise. Forged jobs have their own
-list and skip that rule.
+A job submits once no earlier id is still in progress (`IN_PROGRESS`), as
+the destination adapter's nonce check would revert it otherwise. Real jobs
+that are neither `done` nor `stalled` are split in two tables, kept by
+`BridgeNode._track` alone:
+
+- `queued` holds the parked jobs: in `submitting`, with no tx out and not
+  the censored id. Each waits for every earlier id, and the lowest queued id
+  stays in progress, so only that head can act in a tick, and only when no
+  earlier moving job blocks it. Each step visits the head at its id
+  position if it is not blocked, and skips the rest of the queue.
+- `moving` holds every other live job; each step visits them all in id
+  order. A censored job stays here, so it stalls at its first visit even
+  behind earlier ids.
+
+`by_source_tx` maps a source tx hash to the jobs in `submitting` (real and
+forged) that carry it, so the dest event scan looks each event up instead of
+scanning the jobs. Forged jobs have their own list, visited every step, and
+skip the ordering rule.
 """
 
 from __future__ import annotations
 
 import pickle
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .adapter import (
@@ -95,7 +108,9 @@ class BridgeNode:
         self.dest_chain = dest_chain
         self.post = post
         self.jobs: dict[int, TransferJob] = {}
-        self.live: dict[int, TransferJob] = {}  # real jobs not yet final
+        self.moving: dict[int, TransferJob] = {}
+        self.queued: dict[int, TransferJob] = {}
+        self.by_source_tx: dict[bytes, list[TransferJob]] = {}
         self.forged_jobs: list[TransferJob] = []
         self.journal: list[str] = []
         self.inbox: list = []
@@ -120,13 +135,30 @@ class BridgeNode:
                     detail: str = "") -> None:
         line = f"{tick} | {job.transfer_id} | {job.state} -> {to_state} | {detail}"
         job.state = to_state
-        if not job.forged:
-            if to_state in FINAL_STATES:
-                del self.live[job.transfer_id]
-            else:
-                self.live[job.transfer_id] = job
+        self._track(job)
         self.journal.append(line)
         self._persist(job)
+
+    def _track(self, job: TransferJob) -> None:
+        """File ``job`` in ``moving``, ``queued`` and ``by_source_tx`` after
+        its state or ``submitted_tx`` changed; the only writer of the three."""
+        src_hash = job.transfer.source_transaction_hash
+        carriers = [j for j in self.by_source_tx.pop(src_hash, ())
+                    if j is not job]
+        if job.state == "submitting":
+            carriers.append(job)
+        if carriers:
+            self.by_source_tx[src_hash] = carriers
+        if job.forged:
+            return
+        tid = job.transfer_id
+        self.moving.pop(tid, None)
+        self.queued.pop(tid, None)
+        if job.state in FINAL_STATES:
+            return
+        parked = (job.state == "submitting" and not job.submitted_tx
+                  and tid != self.config.censor_transfer_id)
+        (self.queued if parked else self.moving)[tid] = job
 
     def _persist(self, job: TransferJob | None = None) -> None:
         """Write-through store: only the changed job is re-serialized."""
@@ -171,14 +203,15 @@ class BridgeNode:
         node.dest_cursor = doc["dest_cursor"]
         node.alarms = doc["alarms"]
         node.paused = doc["paused"]
-        node.live = {tid: job for tid, job in node.jobs.items()
-                     if job.state not in FINAL_STATES}
         for job in node._all_jobs():
+            if job.state in FINAL_STATES:
+                continue  # in none of the tables
             if job.state == "submitting":
                 # the submitted tx may or may not have landed; resubmit
                 job.submitted_tx = b""
             if job.state == "collectingSignatures":
                 job.request_tick = -1  # rebroadcast on the next step
+            node._track(job)
         node._persist()
         return node
 
@@ -231,8 +264,14 @@ class BridgeNode:
         self._scan_dest(tick)
         self._collect_responses(tick)
         # in id order: ``blocked`` holds once an earlier id is still in progress
+        order = sorted(self.moving.items())
+        head = min(self.queued) if self.queued else None
+        if head is not None:
+            insort(order, (head, self.queued[head]))
         blocked = False
-        for _, job in sorted(self.live.items()):
+        for tid, job in order:
+            if tid == head and blocked:
+                continue  # it would wait, and it blocks later ids either way
             self._advance(job, tick, blocked)
             blocked = blocked or job.state in IN_PROGRESS
         for job in self.forged_jobs:
@@ -273,11 +312,7 @@ class BridgeNode:
         for ev in events:
             if ev.name not in ("Processed", "AlreadyProcessed"):
                 continue
-            src_hash = event_attr(ev, "sourceTxHash")
-            for job in [*self.live.values(), *self.forged_jobs]:
-                if (job.state != "submitting"
-                        or job.transfer.source_transaction_hash != src_hash):
-                    continue
+            for job in self._carriers(event_attr(ev, "sourceTxHash")):
                 if self.inflight is job:
                     self.inflight = None
                 if ev.name == "Processed":
@@ -287,6 +322,15 @@ class BridgeNode:
                 else:
                     self._transition(tick, job, "done",
                                      "already processed on resubmission")
+
+    def _carriers(self, src_hash: bytes) -> list[TransferJob]:
+        """The jobs in ``submitting`` that carry ``src_hash``, real ones
+        first, each group in the order of its job table."""
+        jobs = self.by_source_tx.get(src_hash, [])
+        if len(jobs) > 1:
+            rank = {id(j): i for i, j in enumerate(self._all_jobs())}
+            jobs = sorted(jobs, key=lambda j: rank[id(j)])
+        return list(jobs)
 
     def _collect_responses(self, tick: int) -> None:
         inbox, self.inbox = self.inbox, []
@@ -391,6 +435,7 @@ class BridgeNode:
                 return  # pending, or landed fine: wait for the event scan
             self.inflight = None
             job.submitted_tx = b""
+            self._track(job)
             job.attempts += 1
             if job.attempts > self.config.max_retries:
                 job.stall_reason = f"destinationRejected:{receipt.reason}"
@@ -425,6 +470,7 @@ class BridgeNode:
         except DuplicateTransaction:
             pass
         job.submitted_tx = tx.tx_hash
+        self._track(job)
         self.inflight = job
         self.journal.append(
             f"{tick} | {job.transfer_id} | submitting -> submitting | "

@@ -314,7 +314,7 @@ class World:
             handler(action)
         except KeyError as e:
             raise ConfigError(f"{where}: missing key or label {e}") from None
-        except (ValueError, IndexError, InvalidReorg) as e:
+        except (ValueError, TypeError, IndexError, InvalidReorg) as e:
             raise ConfigError(f"{where}: {e}") from None
 
     def _resolve_arg(self, arg):
@@ -536,7 +536,7 @@ class World:
             return False
         if any(self.inboxes.values()):
             return False
-        return not self.bridge.live and all(
+        return not (self.bridge.moving or self.bridge.queued) and all(
             j.state in ("done", "stalled") for j in self.bridge.forged_jobs)
 
     def run(self, on_tick=None) -> ScenarioReport:

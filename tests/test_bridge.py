@@ -1,8 +1,10 @@
 """Relay node: finality gating, ordering, retries, recovery, byzantine modes."""
 
 import re
+from dataclasses import replace
 
 from bridgesim import ScenarioConfig, World, contract_address
+from bridgesim.bridge import FINAL_STATES, TransferJob
 
 
 def transfer_action(i, tick, **kw):
@@ -98,6 +100,22 @@ class TestPipeline:
         recollections = [l for l in world.bridge.journal
                          if "re-collecting after InvalidSignature" in l]
         assert len(recollections) >= 1
+
+    def test_censored_id_stalls_while_blocked(self):
+        # id 3 reaches submitting behind ids 0-2, which are still in progress
+        config = ScenarioConfig(
+            censor_transfer_id=3,
+            workload=[transfer_action(i, 1 + i // 5) for i in range(20)])
+        world, report = run(config)
+        moves = {}
+        for line in world.bridge.journal:
+            tick, tid, move, detail = [p.strip() for p in line.split("|")]
+            moves.setdefault((int(tid), move), (int(tick), detail))
+        entered, _ = moves[3, "collectingSignatures -> submitting"]
+        assert moves[3, "submitting -> stalled"] == (entered + 1,
+                                                      "censored by bridge")
+        assert moves[2, "submitting -> submitting"][0] > entered + 1
+        assert [d[0] for d in report.delivered] == [0, 1, 2]
 
     def test_censorship(self):
         config = ScenarioConfig(
@@ -215,6 +233,84 @@ class TestWork:
         for k in range(1, 4):
             bridge.step(world.tick + k)
         assert calls == []  # every job is done: none is visited again
+
+    def test_visits_grow_linearly_with_transfers(self):
+        def visits(count):
+            world = World(ScenarioConfig(
+                workload=[transfer_action(i, 1 + i // 5)
+                          for i in range(count)]))
+            calls = []
+            advance = world.bridge._advance
+
+            def counted(job, tick, *args):
+                calls.append(job.transfer_id)
+                return advance(job, tick, *args)
+
+            world.bridge._advance = counted
+            report = world.run()
+            assert [d[0] for d in report.delivered] == list(range(count))
+            return len(calls)
+
+        small, large = visits(100), visits(200)
+        assert large <= 2.2 * small, (small, large)
+
+    def test_job_tables_match_a_rebuild_every_tick(self):
+        workload = [transfer_action(i, 1 + i // 2) for i in range(40)]
+        for tick in (12, 30):
+            workload.append({"tick": tick, "action": "inject_reorg",
+                             "chain": "source", "depth": 3})
+        for tick in (20, 40):
+            workload.append({"tick": tick, "action": "inject_reorg",
+                             "chain": "dest", "depth": 3})
+        for tick in (15, 35, 55):
+            workload.append({"tick": tick, "action": "bridge_restart"})
+        config = ScenarioConfig(
+            signatory_modes=["honest", "honest", "honest", "refuse"],
+            quorum_size=3, workload=workload, max_ticks=1500)
+        queued_ticks = []
+
+        def check(world, tick):
+            bridge = world.bridge
+            moving, queued, carriers = {}, {}, {}
+            for job in bridge.jobs.values():
+                if job.state in FINAL_STATES:
+                    continue
+                parked = (job.state == "submitting" and not job.submitted_tx
+                          and job.transfer_id != config.censor_transfer_id)
+                (queued if parked else moving)[job.transfer_id] = id(job)
+            for job in [*bridge.jobs.values(), *bridge.forged_jobs]:
+                if job.state == "submitting":
+                    carriers.setdefault(job.transfer.source_transaction_hash,
+                                        set()).add(id(job))
+            assert {t: id(j) for t, j in bridge.moving.items()} == moving
+            assert {t: id(j) for t, j in bridge.queued.items()} == queued
+            assert {h: {id(j) for j in js}
+                    for h, js in bridge.by_source_tx.items()} == carriers
+            if queued:
+                queued_ticks.append(tick)
+
+        world, _ = run(config, on_tick=check)
+        assert queued_ticks
+        reasons = {j.stall_reason for j in world.bridge.jobs.values()}
+        # the dest rejected submissions, which were retried until they stalled
+        assert "destinationRejected:OutOfOrder" in reasons
+
+    def test_source_hash_lookup_keeps_table_order(self):
+        # jobs sharing a source tx hash are matched real ones first, each
+        # group in table order, whatever order they reached submitting in
+        world, _ = run(ScenarioConfig(
+            workload=[transfer_action(i, 1) for i in range(3)]))
+        bridge = world.bridge
+        src_hash = b"\x11" * 32
+        forged = TransferJob(transfer=bridge.jobs[1].transfer, forged=True)
+        bridge.forged_jobs.append(forged)
+        for job in (forged, bridge.jobs[2], bridge.jobs[0]):
+            job.transfer = replace(job.transfer,
+                                   source_transaction_hash=src_hash)
+            job.state = "submitting"
+            bridge._track(job)
+        assert [id(j) for j in bridge._carriers(src_hash)] == \
+            [id(bridge.jobs[0]), id(bridge.jobs[2]), id(forged)]
 
 
 class TestByzantine:

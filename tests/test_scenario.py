@@ -274,7 +274,13 @@ class TestCli:
             {"workload": [{"tick": 1, "action": "admin_set",
                            "field": "bogus", "value": 1}]},
             {"workload": [{"tick": 1, "action": "admin_set",
-                           "field": "relayer", "value": {"hex": "zz"}}]}):
+                           "field": "relayer", "value": {"hex": "zz"}}]},
+            # arguments of the wrong type
+            {"workload": [{"tick": 2, "action": "inject_reorg",
+                           "depth": "x"}]},
+            {"workload": [{"tick": 1, "action": "request_transfer",
+                           "call": {"signature": "setValue(uint128)",
+                                    "args": 5}}]}):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert cli_main(["run", str(path)]) == 2
