@@ -10,6 +10,7 @@ from __future__ import annotations
 from .chain import DispatchContext, Revert
 from .codec import (
     SIGNATURE_LEN,
+    EncodingError,
     TransferMessage,
     compute_transfer_hash,
     verify,
@@ -112,7 +113,11 @@ def encode_process_transfer(m: TransferMessage,
 
 
 def decode_process_transfer(payload: bytes) -> tuple[TransferMessage, list]:
-    m, consumed = decode_message(payload[4:])
+    try:  # a network id that is not UTF-8, a call shorter than a selector
+        m, consumed = decode_message(payload[4:])
+        m.validate()
+    except (UnicodeDecodeError, EncodingError):
+        raise Revert("MalformedPayload") from None
     entries = decode_signature_bundle(payload[4 + consumed:])
     return m, entries
 
@@ -201,12 +206,8 @@ class AdapterContract:
         st["collected_fees"] += st["transaction_fee"]
         transfer_id = st["outbound_nonce"]
         st["outbound_nonce"] = transfer_id + 1
-        ctx.emit(self.address, "BridgeTransferRequested", [
-            ("transferId", _u64(transfer_id)),
-            ("recipientContract", recipient),
-            ("encodedCall", call),
-            ("gas", _u64(gas)),
-        ])
+        ctx.emit(self.address, "BridgeTransferRequested",
+                 request_attributes(transfer_id, recipient, call, gas))
 
     def _process_transfer(self, ctx, sender, payload) -> None:
         st = self.state
@@ -248,30 +249,35 @@ class AdapterContract:
         st = self.state
         if sender != st["owner"]:
             raise Revert("NotOwner")
-        name_len = payload[4]
-        field = payload[5:5 + name_len].decode()
-        body = payload[5 + name_len:]
+        rest = payload[4:]
+
+        def take(n: int) -> bytes:
+            nonlocal rest
+            if len(rest) < n:
+                raise Revert("MalformedPayload")
+            out, rest = rest[:n], rest[n:]
+            return out
+
+        field = take(take(1)[0]).decode(errors="replace")
         if field == "relayer":
-            old, new = st["relayer"], body[:32]
+            old, new = st["relayer"], take(32)
             st["relayer"] = new
         elif field == "remoteAdapterAddress":
-            old, new = st["remote_adapter"], body[:32]
+            old, new = st["remote_adapter"], take(32)
             st["remote_adapter"] = new
         elif field == "transactionFee":
-            old, new = _u64(st["transaction_fee"]), body[:8]
-            st["transaction_fee"] = int.from_bytes(body[:8], "big")
+            old, new = _u64(st["transaction_fee"]), take(8)
+            st["transaction_fee"] = int.from_bytes(new, "big")
         elif field == "authorizedSenders":
-            accept_only = bool(body[0])
-            count = int.from_bytes(body[1:3], "big")
-            senders = [body[3 + i * 32:3 + (i + 1) * 32] for i in range(count)]
+            accept_only = bool(take(1)[0])
+            senders = [take(32) for _ in range(int.from_bytes(take(2), "big"))]
             old = b"".join(st["authorized_senders"])
             st["accept_only_authorized"] = accept_only
             st["authorized_senders"] = senders
             new = b"".join(senders)
         elif field == "signatories":
-            count = int.from_bytes(body[:2], "big")
-            keys = [body[2 + i * 32:2 + (i + 1) * 32] for i in range(count)]
-            quorum = int.from_bytes(body[2 + count * 32:4 + count * 32], "big")
+            keys = [take(32) for _ in range(int.from_bytes(take(2), "big"))]
+            quorum = int.from_bytes(take(2), "big")
             if quorum < 1 or quorum > len(keys):
                 raise Revert("ConfigError")
             old = b"".join(st["signatories"]) + _u64(st["quorum_size"])
@@ -297,6 +303,25 @@ def event_attr(event, key: str) -> bytes:
         if k == key:
             return v
     raise KeyError(key)
+
+
+def request_attributes(transfer_id: int, recipient: bytes, call: bytes,
+                       gas: int) -> tuple:
+    """The attributes of a BridgeTransferRequested event, in emit order."""
+    return (("transferId", _u64(transfer_id)),
+            ("recipientContract", recipient),
+            ("encodedCall", call),
+            ("gas", _u64(gas)))
+
+
+def request_event(block, tx_hash: bytes, adapter: bytes):
+    """The BridgeTransferRequested event that ``adapter`` emitted in
+    ``block`` for transaction ``tx_hash``, or None."""
+    for ev in block.events:
+        if (ev.tx_hash == tx_hash and ev.name == "BridgeTransferRequested"
+                and ev.emitter == adapter):
+            return ev
+    return None
 
 
 def message_from_request_event(event, source_tx_hash: bytes,

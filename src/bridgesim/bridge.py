@@ -1,9 +1,11 @@
 """Relay daemon: event detection, signature collection, ordered submission.
 
-The bridge is a single logical actor advanced once per scheduler tick. All
-job-state transitions are appended to a journal and mirrored into a pickled
-store, so a bridge can be killed at any transition point and rebuilt with
-`BridgeNode.restore` without ever double-delivering a transfer.
+The bridge is a single logical actor advanced once per scheduler tick. It
+posts each signatory the `SigningRequest` object itself and reads
+`(transfer_id, SignResponse)` pairs from `inbox`. All job-state transitions
+are appended to a journal by `_write_journal` alone and mirrored into a
+pickled store, so a bridge can be killed at any transition point and rebuilt
+with `BridgeNode.restore` without ever double-delivering a transfer.
 
 A job submits once no earlier id is still in progress (`IN_PROGRESS`), as
 the destination adapter's nonce check would revert it otherwise. Real jobs
@@ -133,10 +135,15 @@ class BridgeNode:
 
     def _transition(self, tick: int, job: TransferJob, to_state: str,
                     detail: str = "") -> None:
-        line = f"{tick} | {job.transfer_id} | {job.state} -> {to_state} | {detail}"
-        job.state = to_state
+        from_state, job.state = job.state, to_state
         self._track(job)
-        self.journal.append(line)
+        self._write_journal(tick, job, from_state, to_state, detail)
+
+    def _write_journal(self, tick: int, job: TransferJob, from_state: str,
+                       to_state: str, detail: str) -> None:
+        """Append one journal line and write ``job`` through to the store."""
+        self.journal.append(
+            f"{tick} | {job.transfer_id} | {from_state} -> {to_state} | {detail}")
         self._persist(job)
 
     def _track(self, job: TransferJob) -> None:
@@ -285,13 +292,13 @@ class BridgeNode:
             self.config.source_adapter, "BridgeTransferRequested",
             self.source_cursor + 1, head)
         for ev in events:
-            transfer_id = int.from_bytes(event_attr(ev, "transferId"), "big")
-            if transfer_id in self.jobs:
-                continue
-            block = self.source_view.get_block(ev.block_number)
             transfer = message_from_request_event(
                 ev, ev.tx_hash, self.config.source_adapter,
                 self.source_view.network_id)
+            transfer_id = transfer.source_transfer_id
+            if transfer_id in self.jobs:
+                continue
+            block = self.source_view.get_block(ev.block_number)
             job = TransferJob(
                 transfer=transfer,
                 source_block_number=ev.block_number,
@@ -334,24 +341,17 @@ class BridgeNode:
 
     def _collect_responses(self, tick: int) -> None:
         inbox, self.inbox = self.inbox, []
-        for msg in inbox:
-            if msg.get("type") != "sign_response":
-                continue
-            transfer_id = msg["transfer_id"]
-            job = self.jobs.get(transfer_id)
-            if job is None:
-                for fj in self.forged_jobs:
-                    if fj.transfer_id == transfer_id:
-                        job = fj
-                        break
+        for transfer_id, resp in inbox:
+            job = self.jobs.get(transfer_id) or next(
+                (j for j in self.forged_jobs if j.transfer_id == transfer_id),
+                None)
             if job is None or job.state != "collectingSignatures":
                 continue
-            if msg.get("refused"):
-                if msg["reason"] == "InsufficientFinality":
+            if resp.kind == "refused":
+                if resp.reason == "InsufficientFinality":
                     job.transient_refusal = True
                 continue
-            pub = msg["public_key"]
-            sig = msg["signature"]
+            pub, sig = resp.public_key, resp.signature
             # cursory checks only: length and known key (the bridge cannot
             # fully validate signature schemes it does not understand)
             if len(sig) != SIGNATURE_LEN or pub not in self.config.signatory_keys:
@@ -399,9 +399,7 @@ class BridgeNode:
         job.request_tick = tick
         job.transient_refusal = False
         for sid in self.config.signatory_ids:
-            self.post(sid, {"type": "sign_request",
-                            "transfer_id": job.transfer_id,
-                            "request": req.to_wire()})
+            self.post(sid, req)
 
     def _advance_collecting(self, job: TransferJob, tick: int) -> None:
         if len(job.collected) >= self.config.quorum_size:
@@ -472,10 +470,8 @@ class BridgeNode:
         job.submitted_tx = tx.tx_hash
         self._track(job)
         self.inflight = job
-        self.journal.append(
-            f"{tick} | {job.transfer_id} | submitting -> submitting | "
-            f"tx {tx.tx_hash.hex()[:16]}")
-        self._persist(job)
+        self._write_journal(tick, job, "submitting", "submitting",
+                            f"tx {tx.tx_hash.hex()[:16]}")
 
     def _advance_dest_finality(self, job: TransferJob, tick: int) -> None:
         conf = self.dest_view.head_number() - (job.processed_block or 0)
@@ -496,10 +492,8 @@ class BridgeNode:
             value=0,
         )
         self.dest_chain.submit_transaction(tx)
-        self.journal.append(
-            f"{tick} | {transfer_id} | done -> done | replayed tx "
-            f"{tx.tx_hash.hex()[:16]}")
-        self._persist(job)
+        self._write_journal(tick, job, "done", "done",
+                            f"replayed tx {tx.tx_hash.hex()[:16]}")
 
     def byzantine_forge(self, m: TransferMessage, tick: int,
                         claimed_block: int = 0,
@@ -510,10 +504,8 @@ class BridgeNode:
                           source_block_hash=claimed_block_hash,
                           state="awaitingFinality")
         self.forged_jobs.append(job)
-        self.journal.append(
-            f"{tick} | {m.source_transfer_id} | forged -> awaitingFinality | "
-            "fabricated transfer")
-        self._persist(job)
+        self._write_journal(tick, job, "forged", "awaitingFinality",
+                            "fabricated transfer")
 
     def byzantine_flood(self, count: int, tick: int) -> None:
         """Send a burst of junk signing requests to every signatory."""
@@ -525,9 +517,6 @@ class BridgeNode:
             transfer=TransferMessage(b"\xff" * 32, b"\xff" * 32, b"\xff" * 32,
                                      b"\xff\xff\xff\xff", 0, 0, "bogus"),
         )
-        wire = bogus.to_wire()
         for _ in range(count):
             for sid in self.config.signatory_ids:
-                self.post(sid, {"type": "sign_request",
-                                "transfer_id": 0,
-                                "request": wire})
+                self.post(sid, bogus)

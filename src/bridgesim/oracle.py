@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adapter import TAG_PROCESS, decode_process_transfer, event_attr
+from .adapter import (
+    TAG_PROCESS,
+    decode_process_transfer,
+    message_from_request_event,
+    request_event,
+)
 from .chain import Chain, EventLog
 
 VIOLATION_REASONS = ("noSourceRequest", "sourceRequestOrphaned",
@@ -25,12 +30,11 @@ class CausalityViolation:
     reason: str
 
 
-def _request_matches(ev: EventLog, m) -> bool:
-    return (int.from_bytes(event_attr(ev, "transferId"), "big")
-            == m.source_transfer_id
-            and event_attr(ev, "recipientContract") == m.recipient_contract
-            and event_attr(ev, "encodedCall") == m.encoded_function_call
-            and int.from_bytes(event_attr(ev, "gas"), "big") == m.gas)
+def _request_matches(ev: EventLog | None, m) -> bool:
+    """Whether request event ``ev`` carries the payload ``m`` delivered."""
+    return ev is not None and message_from_request_event(
+        ev, m.source_transaction_hash, m.source_adapter_address,
+        m.source_network_id) == m
 
 
 def causality_oracle(source_chain: Chain, dest_chain: Chain,
@@ -71,24 +75,15 @@ def _classify(source_chain: Chain, source_adapter: bytes,
     # canonical source request with fully matching payload?
     found = source_chain.get_transaction(m.source_transaction_hash)
     if found is not None:
-        _, number = found
-        block = source_chain.blocks[number]
-        for ev in block.events:
-            if (ev.tx_hash == m.source_transaction_hash
-                    and ev.name == "BridgeTransferRequested"
-                    and ev.emitter == source_adapter):
-                if _request_matches(ev, m):
-                    return None
-                return "payloadMismatch"
-        return "noSourceRequest"
+        ev = request_event(source_chain.blocks[found[1]],
+                           m.source_transaction_hash, source_adapter)
+        if ev is None:
+            return "noSourceRequest"
+        return None if _request_matches(ev, m) else "payloadMismatch"
     # not canonical: did it ever exist on an orphaned branch?
     for block in source_chain.all_blocks.values():
-        if block.block_hash in canonical_hashes:
-            continue
-        for ev in block.events:
-            if (ev.tx_hash == m.source_transaction_hash
-                    and ev.name == "BridgeTransferRequested"
-                    and ev.emitter == source_adapter
-                    and _request_matches(ev, m)):
-                return "sourceRequestOrphaned"
+        if block.block_hash not in canonical_hashes and _request_matches(
+                request_event(block, m.source_transaction_hash,
+                              source_adapter), m):
+            return "sourceRequestOrphaned"
     return "noSourceRequest"

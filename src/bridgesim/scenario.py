@@ -20,6 +20,7 @@ from .adapter import (
     encode_process_transfer,
     encode_request_transfer,
     event_attr,
+    request_attributes,
 )
 from .bridge import BridgeConfig, BridgeNode
 from .chain import (
@@ -45,6 +46,20 @@ from .oracle import causality_oracle
 from .signatory import BEHAVIOR_MODES, Signatory
 
 IMPACT_LEVELS = ("low", "medium", "high")
+# integer scenario fields, each in [0, 2**64); the optional ones may be None
+_INT_FIELDS = ("seed", "transaction_fee", "rate_budget", "rate_window_ticks",
+               "sign_timeout_ticks", "max_retries", "liveness_timeout_ticks",
+               "max_ticks", "quorum_size")
+_OPTIONAL_INT_FIELDS = ("signatory_min_confirmations", "censor_transfer_id")
+
+
+def _u64(name: str, value) -> int:
+    """``value`` if it is an integer in [0, 2**64), else a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 0 <= value < 1 << 64):
+        raise ConfigError(
+            f"{name} must be an integer in [0, 2**64), not {value!r}")
+    return value
 
 
 def account_address(name: str) -> bytes:
@@ -95,6 +110,14 @@ class ScenarioConfig:
                 raise ConfigError(f"bad {side} chain: {e}") from None
         if self.quorum_size is None:
             self.quorum_size = default_quorum(n)
+        for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
+            if name in _INT_FIELDS or getattr(self, name) is not None:
+                _u64(name, getattr(self, name))
+        for name in ("accept_only_authorized", "monitor_auto_pause"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false")
+        if not all(isinstance(a, str) for a in self.authorized_senders):
+            raise ConfigError("authorized_senders must be account names")
         if not 1 <= self.quorum_size <= n:
             raise ConfigError("quorum out of bounds")
         if self.reorg_response not in ("pause", "retry", "continue"):
@@ -106,6 +129,8 @@ class ScenarioConfig:
                 raise ConfigError("expected_config_changes entries are "
                                   f"[source|dest, field], not {entry!r}")
         for action in self.workload:
+            if not isinstance(action, dict):
+                raise ConfigError(f"workload entry is not an object: {action!r}")
             if action.get("tick", -1) < 0 or action["tick"] > self.max_ticks:
                 raise ConfigError(f"workload tick out of range: {action}")
             if "action" not in action:
@@ -159,7 +184,7 @@ class World:
         self.config = config
         self.tick = 0
         self.labels: dict[str, bytes] = {}  # workload label -> tx hash
-        self.bus: list[tuple[int, str, dict]] = []
+        self.bus: list[tuple[int, str, object]] = []
         self.inboxes: dict[str, list] = {}
         self.config_alarm_log: list = []
         self._monitor_cursor = {"source": 0, "dest": 0}
@@ -221,7 +246,6 @@ class World:
         ]
         for s in self.signatories:
             self.inboxes[s.signatory_id] = []
-        self.inboxes["bridge"] = []
 
         self.bridge_config = BridgeConfig(
             source_adapter=self.adapters["source"].address,
@@ -249,39 +273,27 @@ class World:
 
     # -- scheduler plumbing --------------------------------------------------
 
-    def post(self, recipient: str, message: dict) -> None:
+    def post(self, recipient: str, message) -> None:
+        """Deliver ``message`` to ``recipient`` at the next tick: a
+        ``SigningRequest`` to a signatory, or ``(transfer_id, SignResponse)``
+        to the bridge."""
         self.bus.append((self.tick + 1, recipient, message))
 
     def _deliver(self) -> None:
         due = [m for m in self.bus if m[0] <= self.tick]
         self.bus = [m for m in self.bus if m[0] > self.tick]
         for _, recipient, message in due:
-            if recipient == "bridge":
-                self.bridge.inbox.append(message)
-            else:
-                self.inboxes.setdefault(recipient, []).append(message)
+            (self.bridge.inbox if recipient == "bridge"
+             else self.inboxes[recipient]).append(message)
 
     def _run_signatories(self) -> None:
-        from .signatory import SigningRequest
         for s in self.signatories:
             inbox, self.inboxes[s.signatory_id] = \
                 self.inboxes[s.signatory_id], []
-            for msg in inbox:
-                if msg.get("type") != "sign_request":
-                    continue
-                req = SigningRequest.from_wire(msg["request"])
+            for req in inbox:
                 resp = s.handle_sign_request(req, self.tick)
-                if resp is None:
-                    continue
-                out = {"type": "sign_response",
-                       "transfer_id": msg["transfer_id"]}
-                if resp.kind == "refused":
-                    out["refused"] = True
-                    out["reason"] = resp.reason
-                else:
-                    out["public_key"] = resp.public_key
-                    out["signature"] = resp.signature
-                self.post("bridge", out)
+                if resp is not None:
+                    self.post("bridge", (req.transfer.source_transfer_id, resp))
 
     def _run_config_monitor(self) -> None:
         expected = {tuple(e) for e in self.config.expected_config_changes}
@@ -314,7 +326,8 @@ class World:
             handler(action)
         except KeyError as e:
             raise ConfigError(f"{where}: missing key or label {e}") from None
-        except (ValueError, TypeError, IndexError, InvalidReorg) as e:
+        except (ValueError, TypeError, IndexError, OverflowError,
+                InvalidReorg) as e:
             raise ConfigError(f"{where}: {e}") from None
 
     def _resolve_arg(self, arg):
@@ -325,6 +338,10 @@ class World:
                 return bytes.fromhex(arg["hex"])
             raise ConfigError(f"bad call argument {arg}")
         return arg
+
+    @staticmethod
+    def _gas(a: dict) -> int:
+        return _u64("gas", a.get("gas", 21000))
 
     def _encoded_call(self, call: dict) -> bytes:
         return encode_function_call(
@@ -338,7 +355,7 @@ class World:
             else self.source.config.network_id
         recipient = contract_address(recipient_net, a.get("recipient", "storage"))
         payload = encode_request_transfer(
-            recipient, self._encoded_call(a["call"]), a.get("gas", 21000))
+            recipient, self._encoded_call(a["call"]), self._gas(a))
         tx = chain.make_transaction(
             sender=account_address(a.get("sender", "alice")),
             recipient=adapter.address,
@@ -370,7 +387,7 @@ class World:
             call = self._encoded_call(spec["call"])
             recipient = contract_address(self.dest.config.network_id,
                                          spec.get("recipient", "storage"))
-            gas = spec.get("gas", 21000)
+            gas = self._gas(spec)
             payload = encode_request_transfer(recipient, call, gas)
             fake_tx = Transaction(
                 tx_hash=blake2b256(b"fabricated-tx:%d" % spec["transfer_id"]),
@@ -383,12 +400,8 @@ class World:
             fake_event = EventLog(
                 emitter=adapter.address,
                 name="BridgeTransferRequested",
-                attributes=(
-                    ("transferId", spec["transfer_id"].to_bytes(8, "big")),
-                    ("recipientContract", recipient),
-                    ("encodedCall", call),
-                    ("gas", gas.to_bytes(8, "big")),
-                ),
+                attributes=request_attributes(spec["transfer_id"], recipient,
+                                              call, gas),
                 tx_hash=fake_tx.tx_hash,
                 block_number=spec["block_number"],
             )
@@ -460,16 +473,18 @@ class World:
     def _forged_message(self, a: dict) -> TransferMessage:
         recipient = contract_address(self.dest.config.network_id,
                                      a.get("recipient", "token"))
-        return TransferMessage(
+        m = TransferMessage(
             source_transaction_hash=blake2b256(
                 b"forged:%d" % a["transfer_id"]),
             source_adapter_address=self.adapters["source"].address,
             recipient_contract=recipient,
             encoded_function_call=self._encoded_call(a["call"]),
-            gas=a.get("gas", 21000),
+            gas=self._gas(a),
             source_transfer_id=a["transfer_id"],
             source_network_id=self.source.config.network_id,
         )
+        m.validate()
+        return m
 
     def _do_bridge_forge(self, a: dict) -> None:
         m = self._forged_message(a)

@@ -9,10 +9,9 @@ scenarios.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .adapter import event_attr, message_from_request_event
+from .adapter import message_from_request_event, request_event
 from .chain import ChainView
 from .codec import SIGNATURE_LEN, Keypair, TransferMessage, compute_transfer_hash, sign
 
@@ -26,45 +25,6 @@ class SigningRequest:
     source_transaction_hash: bytes
     transfer_data_hash: bytes
     transfer: TransferMessage
-
-    def to_wire(self) -> str:
-        m = self.transfer
-        doc = {
-            "sourceBlockNumber": self.source_block_number,
-            "sourceBlockHash": self.source_block_hash.hex(),
-            "sourceTransactionHash": self.source_transaction_hash.hex(),
-            "transferDataHash": self.transfer_data_hash.hex(),
-            "transfer": {
-                "sourceTransactionHash": m.source_transaction_hash.hex(),
-                "sourceAdapterAddress": m.source_adapter_address.hex(),
-                "recipientContract": m.recipient_contract.hex(),
-                "encodedFunctionCall": m.encoded_function_call.hex(),
-                "gas": m.gas,
-                "sourceTransferId": m.source_transfer_id,
-                "sourceNetworkId": m.source_network_id,
-            },
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_wire(cls, text: str) -> "SigningRequest":
-        doc = json.loads(text)
-        t = doc["transfer"]
-        return cls(
-            source_block_number=doc["sourceBlockNumber"],
-            source_block_hash=bytes.fromhex(doc["sourceBlockHash"]),
-            source_transaction_hash=bytes.fromhex(doc["sourceTransactionHash"]),
-            transfer_data_hash=bytes.fromhex(doc["transferDataHash"]),
-            transfer=TransferMessage(
-                source_transaction_hash=bytes.fromhex(t["sourceTransactionHash"]),
-                source_adapter_address=bytes.fromhex(t["sourceAdapterAddress"]),
-                recipient_contract=bytes.fromhex(t["recipientContract"]),
-                encoded_function_call=bytes.fromhex(t["encodedFunctionCall"]),
-                gas=t["gas"],
-                source_transfer_id=t["sourceTransferId"],
-                source_network_id=t["sourceNetworkId"],
-            ),
-        )
 
 
 @dataclass
@@ -155,12 +115,15 @@ class Signatory:
         found = view.get_transaction(req.source_transaction_hash)
         if found is None or found[1] != req.source_block_number:
             return SignResponse.refused("TxNotFound")
-        event = self._locate_request_event(block, req)
+        event = request_event(block, req.source_transaction_hash,
+                              self.source_adapter)
         if event is None:
             return SignResponse.refused("TxNotFound")
         rebuilt = message_from_request_event(
             event, req.source_transaction_hash, self.source_adapter,
             view.network_id)
+        if rebuilt.source_transfer_id != req.transfer.source_transfer_id:
+            return SignResponse.refused("TxNotFound")
         if rebuilt != req.transfer:
             return SignResponse.refused("DataHashMismatch")
         digest = compute_transfer_hash(rebuilt, self.dest_hash_alg)
@@ -168,13 +131,3 @@ class Signatory:
             return SignResponse.refused("DataHashMismatch")
         return SignResponse.signed(self.keypair.public_key,
                                    sign(self.keypair.private_key, digest))
-
-    def _locate_request_event(self, block, req: SigningRequest):
-        for ev in block.events:
-            if (ev.tx_hash == req.source_transaction_hash
-                    and ev.name == "BridgeTransferRequested"
-                    and ev.emitter == self.source_adapter
-                    and int.from_bytes(event_attr(ev, "transferId"), "big")
-                    == req.transfer.source_transfer_id):
-                return ev
-        return None

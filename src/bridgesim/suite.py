@@ -14,6 +14,7 @@ measure only impact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .scenario import ScenarioConfig, ScenarioReport, run_scenario
 
@@ -24,9 +25,22 @@ class SuiteEntry:
     description: str
     risk: str
     expected: str  # predicted impact classification
+    builder: Callable[[], ScenarioConfig]
 
     def build(self) -> ScenarioConfig:
-        return _BUILDERS[self.name]()
+        return self.builder()
+
+
+SUITE: list[SuiteEntry] = []  # in definition order
+
+
+def _entry(description: str, risk: str, expected: str):
+    """Add the decorated builder to SUITE, named after it."""
+    def register(builder):
+        SUITE.append(SuiteEntry(builder.__name__[1:], description, risk,
+                                expected, builder))
+        return builder
+    return register
 
 
 def _transfers(count: int, start_tick: int = 1, sender: str = "alice",
@@ -40,10 +54,13 @@ def _transfers(count: int, start_tick: int = 1, sender: str = "alice",
     ]
 
 
+@_entry("honest actors end to end", "-", "low")
 def _happy_path() -> ScenarioConfig:
     return ScenarioConfig(workload=_transfers(20), max_ticks=1500)
 
 
+@_entry("bridge chain connection fabricates a transfer; "
+        "signatories follow the real chain", "low", "low")
 def _source_infra_node() -> ScenarioConfig:
     # only the bridge's own connection lies; signatories follow the real chain
     workload = _transfers(5)
@@ -58,6 +75,8 @@ def _source_infra_node() -> ScenarioConfig:
     return ScenarioConfig(workload=workload, max_ticks=1500)
 
 
+@_entry("quorum of signatory connections fabricate the same transfer",
+        "low", "high")
 def _source_infra_quorum() -> ScenarioConfig:
     # the signatories' connections lie too: quorum signs a fabricated event
     corruption = {"kind": "fabricate_request", "block_number": 2,
@@ -74,6 +93,8 @@ def _source_infra_quorum() -> ScenarioConfig:
     return ScenarioConfig(workload=workload, max_ticks=400)
 
 
+@_entry("faulty destination connection, then switch to a healthy one",
+        "low", "low")
 def _dest_infra() -> ScenarioConfig:
     # faulty destination connection, then a switch to a healthy one
     workload = _transfers(5)
@@ -89,6 +110,8 @@ def _dest_infra() -> ScenarioConfig:
     return ScenarioConfig(workload=workload, max_ticks=1500)
 
 
+@_entry("stolen owner key authorizes attacker senders; monitor "
+        "auto-pauses", "medium", "medium")
 def _adapter_source_attack() -> ScenarioConfig:
     # compromised owner key authorizes the attacker's own sender contract;
     # the config-change monitor catches it and pauses the bridge
@@ -110,6 +133,7 @@ def _adapter_source_attack() -> ScenarioConfig:
     )
 
 
+@_entry("stolen owner key swaps signatories and relayer", "medium", "high")
 def _adapter_dest_attack() -> ScenarioConfig:
     # compromised owner key swaps signatory set and relayer, then posts a
     # forged mint directly, cutting out bridge and signatories entirely
@@ -129,6 +153,8 @@ def _adapter_dest_attack() -> ScenarioConfig:
     return ScenarioConfig(workload=workload, max_ticks=300)
 
 
+@_entry("compromised bridge requests signatures on an invented "
+        "transfer", "medium", "low")
 def _bridge_forge() -> ScenarioConfig:
     workload = _transfers(3)
     workload.append({"tick": 12, "action": "bridge_forge", "transfer_id": 3,
@@ -138,6 +164,8 @@ def _bridge_forge() -> ScenarioConfig:
     return ScenarioConfig(workload=workload, max_ticks=1500)
 
 
+@_entry("bridge submits transfers whose signatures cannot verify",
+        "medium", "medium")
 def _bridge_submit_invalid() -> ScenarioConfig:
     # bridge forwards signatures that pass only cursory checks; the adapter
     # rejects them on-chain
@@ -148,32 +176,39 @@ def _bridge_submit_invalid() -> ScenarioConfig:
     )
 
 
+@_entry("compromised bridge censors one transfer", "medium", "medium")
 def _bridge_censor() -> ScenarioConfig:
     return ScenarioConfig(censor_transfer_id=3,
                           workload=_transfers(8), max_ticks=1500)
 
 
+@_entry("bridge replays an already-processed transfer", "medium", "low")
 def _bridge_replay() -> ScenarioConfig:
     workload = _transfers(3)
     workload.append({"tick": 60, "action": "bridge_replay", "transfer_id": 0})
     return ScenarioConfig(workload=workload, max_ticks=1500)
 
 
+@_entry("bridge floods signatories with junk requests", "medium", "low")
 def _bridge_flood() -> ScenarioConfig:
     workload = [{"tick": 3, "action": "bridge_flood", "count": 200}]
     return ScenarioConfig(rate_budget=50, rate_window_ticks=1000,
                           workload=workload, max_ticks=300)
 
 
+@_entry("2/3+ signatories stop answering", "low", "medium")
 def _signatories_refuse() -> ScenarioConfig:
     return ScenarioConfig(signatory_modes=["refuse"] * 3,
                           workload=_transfers(3), max_ticks=1500)
 
 
+@_entry("2/3+ signatories return garbage signatures", "low", "medium")
 def _signatories_wrong_signature() -> ScenarioConfig:
     return _bridge_submit_invalid()
 
 
+@_entry("one operator key reused across adapter owner and relayer",
+        "medium", "high")
 def _operator_key_reuse() -> ScenarioConfig:
     # one operator key controls adapter owner and relayer on the destination:
     # compromising it is a multi-party compromise in one stroke
@@ -190,6 +225,8 @@ def _operator_key_reuse() -> ScenarioConfig:
     return ScenarioConfig(workload=workload, max_ticks=300)
 
 
+@_entry("colluding bridge and signatory quorum mint from thin air",
+        "low", "high")
 def _bridge_and_signatories() -> ScenarioConfig:
     workload = [{"tick": 10, "action": "bridge_forge", "transfer_id": 0,
                  "recipient": "token",
@@ -199,6 +236,8 @@ def _bridge_and_signatories() -> ScenarioConfig:
                           workload=workload, max_ticks=400)
 
 
+@_entry("post-delivery reorg past the finality window drops the "
+        "request", "low", "high")
 def _deep_reorg() -> ScenarioConfig:
     # the request is delivered, then a reorg deeper than the finality window
     # erases it from source history: forward causation is violated
@@ -208,6 +247,7 @@ def _deep_reorg() -> ScenarioConfig:
     return ScenarioConfig(workload=workload, max_ticks=600)
 
 
+@_entry("pre-signing reorg within the finality window", "low", "low")
 def _shallow_reorg() -> ScenarioConfig:
     # reorg within the finality window, before signing: signatories refuse,
     # nothing is delivered, nothing is corrupted
@@ -215,76 +255,6 @@ def _shallow_reorg() -> ScenarioConfig:
     workload.append({"tick": 4, "action": "inject_reorg", "chain": "source",
                      "depth": 2, "drop": ["t0"]})
     return ScenarioConfig(workload=workload, max_ticks=600)
-
-
-SUITE = [
-    SuiteEntry("happy_path",
-               "honest actors end to end", "-", "low"),
-    SuiteEntry("source_infra_node",
-               "bridge chain connection fabricates a transfer; "
-               "signatories follow the real chain", "low", "low"),
-    SuiteEntry("source_infra_quorum",
-               "quorum of signatory connections fabricate the same transfer",
-               "low", "high"),
-    SuiteEntry("dest_infra",
-               "faulty destination connection, then switch to a healthy one",
-               "low", "low"),
-    SuiteEntry("adapter_source_attack",
-               "stolen owner key authorizes attacker senders; monitor "
-               "auto-pauses", "medium", "medium"),
-    SuiteEntry("adapter_dest_attack",
-               "stolen owner key swaps signatories and relayer",
-               "medium", "high"),
-    SuiteEntry("bridge_forge",
-               "compromised bridge requests signatures on an invented "
-               "transfer", "medium", "low"),
-    SuiteEntry("bridge_submit_invalid",
-               "bridge submits transfers whose signatures cannot verify",
-               "medium", "medium"),
-    SuiteEntry("bridge_censor",
-               "compromised bridge censors one transfer", "medium", "medium"),
-    SuiteEntry("bridge_replay",
-               "bridge replays an already-processed transfer", "medium",
-               "low"),
-    SuiteEntry("bridge_flood",
-               "bridge floods signatories with junk requests", "medium",
-               "low"),
-    SuiteEntry("signatories_refuse",
-               "2/3+ signatories stop answering", "low", "medium"),
-    SuiteEntry("signatories_wrong_signature",
-               "2/3+ signatories return garbage signatures", "low", "medium"),
-    SuiteEntry("operator_key_reuse",
-               "one operator key reused across adapter owner and relayer",
-               "medium", "high"),
-    SuiteEntry("bridge_and_signatories",
-               "colluding bridge and signatory quorum mint from thin air",
-               "low", "high"),
-    SuiteEntry("deep_reorg",
-               "post-delivery reorg past the finality window drops the "
-               "request", "low", "high"),
-    SuiteEntry("shallow_reorg",
-               "pre-signing reorg within the finality window", "low", "low"),
-]
-
-_BUILDERS = {
-    "happy_path": _happy_path,
-    "source_infra_node": _source_infra_node,
-    "source_infra_quorum": _source_infra_quorum,
-    "dest_infra": _dest_infra,
-    "adapter_source_attack": _adapter_source_attack,
-    "adapter_dest_attack": _adapter_dest_attack,
-    "bridge_forge": _bridge_forge,
-    "bridge_submit_invalid": _bridge_submit_invalid,
-    "bridge_censor": _bridge_censor,
-    "bridge_replay": _bridge_replay,
-    "bridge_flood": _bridge_flood,
-    "signatories_refuse": _signatories_refuse,
-    "signatories_wrong_signature": _signatories_wrong_signature,
-    "operator_key_reuse": _operator_key_reuse,
-    "bridge_and_signatories": _bridge_and_signatories,
-    "deep_reorg": _deep_reorg,
-    "shallow_reorg": _shallow_reorg,
-}
 
 
 def run_suite() -> list[tuple[SuiteEntry, ScenarioReport]]:

@@ -5,6 +5,7 @@ its assertions hold; run with ``pytest -v -s tests/test_acceptance.py`` to
 see them.
 """
 
+import copy
 import itertools
 import json
 import time
@@ -320,55 +321,61 @@ class _SimulatedCrash(Exception):
     pass
 
 
-def _run_with_crash_at(crash_at: int, count: int):
-    """Run a transfer workload, killing the bridge right after the journal
-    reaches ``crash_at`` lines and restoring it from its persisted store."""
-    config = ScenarioConfig(workload=transfers(count), max_ticks=1500)
-    world = World(config)
+def _finished(world, count: int) -> bool:
+    return (world.quiescent()
+            and all(j.state in ("done", "stalled")
+                    for j in world.bridge._all_jobs())
+            and not world.bus and len(world.bridge.jobs) == count
+            and not world.source.pending)
 
-    def arm(bridge):
-        original = bridge._persist
 
-        def wrapper(job=None):
-            original(job)
-            if len(bridge.journal) >= crash_at:
-                raise _SimulatedCrash
+def _run_with_crash_at(world, crash_at: int, count: int):
+    """Run ``world`` on, killing the bridge right after the journal reaches
+    ``crash_at`` lines and restoring it from its persisted store."""
+    bridge = world.bridge
+    original = bridge._persist
 
-        bridge._persist = wrapper
+    def wrapper(job=None):
+        original(job)
+        if len(bridge.journal) >= crash_at:
+            raise _SimulatedCrash
 
-    arm(world.bridge)
+    bridge._persist = wrapper
     crashed = False
-    while world.tick < config.max_ticks:
+    while world.tick < world.config.max_ticks:
         try:
             world.step()
         except _SimulatedCrash:
             crashed = True
             world.restart_bridge()  # rebuild from the persisted job store
-        if world.quiescent() and all(
-                j.state in ("done", "stalled")
-                for j in world.bridge._all_jobs()) and not world.bus:
-            if len(world.bridge.jobs) == count and not world.source.pending:
-                break
+        if _finished(world, count):
+            break
     return world, crashed
 
 
 def test_criterion_10_crash_recovery_every_transition():
     count = 20
-    # reference run to learn how many journal writes a clean run performs
+    # one clean run; a copy of it from the start of each tick crashes at each
+    # journal line that tick writes, so every transition point is tried
     config = ScenarioConfig(workload=transfers(count), max_ticks=1500)
     clean = World(config)
-    clean_report = clean.run()
-    assert [d[0] for d in clean_report.delivered] == list(range(count))
-    total = len(clean.bridge.journal)
     crash_points = 0
-    for crash_at in range(1, total + 1):
-        world, crashed = _run_with_crash_at(crash_at, count)
-        assert crashed, crash_at
-        processed = dest_events(world, "Processed")
-        ids = sorted(int.from_bytes(event_attr(e, "transferId"), "big")
-                     for e in processed)
-        assert ids == list(range(count)), crash_at  # exactly once each
-        crash_points += 1
+    while clean.tick < config.max_ticks and not _finished(clean, count):
+        start = copy.deepcopy(clean)
+        reached = len(clean.bridge.journal)
+        clean.step()
+        for crash_at in range(reached + 1, len(clean.bridge.journal) + 1):
+            world, crashed = _run_with_crash_at(copy.deepcopy(start),
+                                                crash_at, count)
+            assert crashed, crash_at
+            processed = dest_events(world, "Processed")
+            ids = sorted(int.from_bytes(event_attr(e, "transferId"), "big")
+                         for e in processed)
+            assert ids == list(range(count)), crash_at  # exactly once each
+            crash_points += 1
+    clean_report = clean.build_report()
+    assert [d[0] for d in clean_report.delivered] == list(range(count))
+    assert crash_points == len(clean.bridge.journal) > 0
     ok(10, f"bridge killed and restored at each of {crash_points} journal "
            "transition points; every run delivered 20 transfers exactly once "
            "with no duplicate Processed")

@@ -1,5 +1,7 @@
 """Adapter contract: request/process state machine and admin surface."""
 
+import json
+
 import pytest
 
 from bridgesim import (
@@ -255,7 +257,6 @@ class TestProcessTransfer:
         fx.process(bad, fx.bundle(bad, [0, 1]))
         after = fx.chain.dump_state()
         # only block history differs; contract state and balances are frozen
-        import json
         b, a = json.loads(before), json.loads(after)
         assert a["contracts"] == b["contracts"]
         assert a["balances"] == b["balances"]
@@ -273,6 +274,26 @@ class TestProcessTransfer:
         assert receipt.reason == "InvalidSignature"
         _, ok = fx.process(m, fx.bundle(m, [0, 1]))
         assert ok.status == "ok"
+
+    def test_call_shorter_than_selector_reverts_malformed(self):
+        fx = Fixture()
+        m = fx.message(call=b"\x01\x02")
+        entries = [(SIGNERS[0].public_key, bytes(64))]
+        before = json.loads(fx.chain.dump_state())["contracts"]
+        _, receipt = fx.process(m, entries)  # mining must not raise
+        assert (receipt.status, receipt.reason) == ("reverted",
+                                                    "MalformedPayload")
+        assert json.loads(fx.chain.dump_state())["contracts"] == before
+
+    def test_network_id_not_utf8_reverts_malformed(self):
+        fx = Fixture()
+        m = fx.message()
+        payload = encode_process_transfer(m, fx.bundle(m, [0, 1]))
+        nid_at = 4 + 32 * 3 + 8 + 8 + 2
+        payload = payload[:nid_at] + b"\xff" + payload[nid_at + 1:]
+        _, receipt = fx.submit(RELAYER.public_key, payload)
+        assert (receipt.status, receipt.reason) == ("reverted",
+                                                    "MalformedPayload")
 
 
 class TestAdmin:
@@ -328,6 +349,25 @@ class TestAdmin:
         assert fx.adapter.state["accept_only_authorized"] is True
         _, receipt = fx.request(sender=ALICE)
         assert receipt.reason == "Unauthorized"
+
+    @pytest.mark.parametrize("payload", [
+        b"ADMN",  # tag only
+        b"ADMN\x07relay",  # name longer than the payload
+        b"ADMN\x07relayer" + bytes(31),
+        b"ADMN\x0etransactionFee" + bytes(7),
+        b"ADMN\x11authorizedSenders",
+        b"ADMN\x11authorizedSenders\x01\x00\x02" + bytes(32),
+        b"ADMN\x0bsignatories\x00\x01" + bytes(32),  # no quorum
+    ], ids=["tag-only", "name-cut", "relayer-cut", "fee-cut",
+            "senders-empty", "senders-cut", "quorum-missing"])
+    def test_short_admin_payload_reverts_malformed(self, payload):
+        fx = Fixture()
+        before = json.loads(fx.chain.dump_state())["contracts"]
+        _, receipt = fx.submit(OWNER, payload)  # mining must not raise
+        assert (receipt.status, receipt.reason) == ("reverted",
+                                                    "MalformedPayload")
+        assert json.loads(fx.chain.dump_state())["contracts"] == before
+        assert not fx.events("ConfigChanged")
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):

@@ -253,6 +253,8 @@ class TestCli:
         assert "invalid scenario file" in capsys.readouterr().err
 
     def test_malformed_scenarios_exit_2_with_one_line(self, tmp_path, capsys):
+        request = {"tick": 1, "action": "request_transfer",
+                "call": {"signature": "setValue(uint128)", "args": [1]}}
         for doc in ({"source": {"network_id": "a", "bogus": 1}},
                     {"signatory_modes": ["honest", "evil"]},
                     {"dest": {"network_id": "b", "hash_alg": "md5"}},
@@ -280,7 +282,24 @@ class TestCli:
                            "depth": "x"}]},
             {"workload": [{"tick": 1, "action": "request_transfer",
                            "call": {"signature": "setValue(uint128)",
-                                    "args": 5}}]}):
+                                    "args": 5}}]},
+            # scalar fields of the wrong type or out of range
+            {"max_ticks": "x"}, {"sign_timeout_ticks": "x"}, {"seed": -1},
+            {"censor_transfer_id": "x"}, {"monitor_auto_pause": 1},
+            {"workload": [[1]]}, {"authorized_senders": [1]},
+            # gas and transfer ids outside their 64-bit fields
+            {"workload": [dict(request, gas=-5)]},
+            {"workload": [dict(request, gas=2**64)]},
+            {"workload": [dict(request, action="bridge_forge", transfer_id=3,
+                               gas=-5)]},
+            {"workload": [dict(request, action="bridge_forge",
+                               transfer_id=-1)]},
+            {"workload": [{"tick": 1, "action": "faulty_view",
+                           "target": "bridge",
+                           "corruption": {"kind": "fabricate_request",
+                                          "block_number": 0,
+                                          "transfer_id": -1,
+                                          "call": request["call"]}}]}):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert cli_main(["run", str(path)]) == 2

@@ -79,11 +79,6 @@ class TestHonest:
         assert resp.kind == "signed"
         assert verify(KP.public_key, req.transfer_data_hash, resp.signature)
 
-    def test_wire_round_trip(self):
-        chain, tx_hash = build_source()
-        req = build_request(chain, tx_hash)
-        assert SigningRequest.from_wire(req.to_wire()) == req
-
     def test_refuses_block_hash_mismatch(self):
         chain, tx_hash = build_source()
         req = build_request(chain, tx_hash)
