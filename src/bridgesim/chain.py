@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .codec import HASH_ALGS, hash_bytes
+from .codec import HASH_ALGS, hash_bytes, hash_many
 
 ZERO32 = b"\x00" * 32
 _ABSENT = object()  # undo-log prior value of a key that did not exist
@@ -90,8 +90,8 @@ class ChainConfig:
     finality_depth: int = 6
 
     def __post_init__(self):
-        if not self.network_id:
-            raise ChainError("network_id must be non-empty")
+        if not isinstance(self.network_id, str) or not self.network_id:
+            raise ChainError("network_id must be a non-empty string")
         if self.hash_alg not in HASH_ALGS:
             raise ChainError(f"unknown hash_alg {self.hash_alg!r}")
         if self.block_time_ticks < 1:
@@ -198,6 +198,20 @@ class DispatchContext:
             return "failed", r.reason
 
 
+def _tx_preimage(sender, recipient, payload, value, seq) -> bytes:
+    return (sender + recipient + len(payload).to_bytes(8, "big") + payload
+            + value.to_bytes(32, "big") + seq.to_bytes(8, "big"))
+
+
+def _event_preimage(event: EventLog) -> bytes:
+    parts = [event.emitter, event.name.encode()]
+    for k, v in event.attributes:
+        parts.append(k.encode())
+        parts.append(len(v).to_bytes(4, "big"))
+        parts.append(v)
+    return b"".join(parts)
+
+
 class Chain:
     """Canonical chain plus pending pool, contract registry and side store."""
 
@@ -210,7 +224,7 @@ class Chain:
         self.executed_seq = JournaledMap(self._log)
         self.pending: list[Transaction] = []
         self._next_seq: dict[bytes, int] = {}
-        # txs built by make_transaction and not yet submitted, by hash; their
+        # txs built by make_transaction(s) and not yet submitted, by hash; their
         # hash was computed from their own fields, so submit need not redo it
         self._built: dict[bytes, Transaction] = {}
         self._produced = 0  # distinct-hash salt across branches
@@ -240,39 +254,38 @@ class Chain:
                          value: int = 0) -> Transaction:
         seq = self._next_seq.get(sender, 0)
         self._next_seq[sender] = seq + 1
-        tx = Transaction(
-            tx_hash=self._tx_hash(sender, recipient, payload, value, seq),
-            sender=sender,
-            recipient=recipient,
-            payload=payload,
-            value=value,
-            seq=seq,
-        )
+        tx = Transaction(self._tx_hash(sender, recipient, payload, value, seq),
+                         sender, recipient, payload, value, seq)
         self._built[tx.tx_hash] = tx
         return tx
 
-    def _tx_hash(self, sender, recipient, payload, value, seq) -> bytes:
-        preimage = (
-            sender + recipient
-            + len(payload).to_bytes(8, "big") + payload
-            + value.to_bytes(32, "big") + seq.to_bytes(8, "big")
-        )
-        return hash_bytes(self.config.hash_alg, preimage)
+    def make_transactions(self, specs: list[tuple]) -> list[Transaction]:
+        """`make_transaction` for each ``(sender, recipient, payload, value)``
+        in order, with every tx hash computed in one `hash_many` batch."""
+        seqs = []
+        for sender, _, _, _ in specs:
+            seqs.append(self._next_seq.get(sender, 0))
+            self._next_seq[sender] = seqs[-1] + 1
+        hashes = hash_many(self.config.hash_alg,
+                           [_tx_preimage(*spec, seq)
+                            for spec, seq in zip(specs, seqs)])
+        txs = [Transaction(h, *spec, seq)
+               for h, spec, seq in zip(hashes, specs, seqs)]
+        for tx in txs:
+            self._built[tx.tx_hash] = tx
+        return txs
 
-    def _event_digest(self, emitter: bytes, name: str, attributes: tuple) -> bytes:
-        parts = [emitter, name.encode()]
-        for k, v in attributes:
-            parts.append(k.encode())
-            parts.append(len(v).to_bytes(4, "big"))
-            parts.append(v)
-        return hash_bytes(self.config.hash_alg, b"".join(parts))
+    def _tx_hash(self, sender, recipient, payload, value, seq) -> bytes:
+        return hash_bytes(self.config.hash_alg,
+                          _tx_preimage(sender, recipient, payload, value, seq))
 
     def _block_hash(self, number, parent_hash, tick, salt, txs, events) -> bytes:
         parts = [number.to_bytes(8, "big"), parent_hash,
                  tick.to_bytes(8, "big"), salt.to_bytes(8, "big")]
         parts.extend(t.tx_hash for t in txs)
-        parts.extend(self._event_digest(e.emitter, e.name, e.attributes)
-                     for e in events)
+        if events:
+            parts.extend(hash_many(self.config.hash_alg,
+                                   [_event_preimage(e) for e in events]))
         return hash_bytes(self.config.hash_alg, b"".join(parts))
 
     # -- core operations -----------------------------------------------------
@@ -281,7 +294,7 @@ class Chain:
         """Queue ``tx`` for the next block; its hash must match its fields.
 
         The hash is recomputed unless ``tx`` is the very object this chain's
-        `make_transaction` returned, so a copy with edited fields is checked.
+        `make_transaction(s)` returned, so a copy with edited fields is checked.
         """
         if self._built.get(tx.tx_hash) is tx:
             del self._built[tx.tx_hash]

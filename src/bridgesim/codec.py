@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature as _BadSig
@@ -18,7 +18,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 
 WORD = 32
 SIGNATURE_LEN = 64
@@ -46,6 +46,13 @@ def hash_bytes(alg: str, data: bytes) -> bytes:
         return HASH_ALGS[alg](data)
     except KeyError:
         raise EncodingError(f"unknown hash algorithm: {alg}") from None
+
+
+def hash_many(alg: str, datas: list[bytes]) -> list[bytes]:
+    """`hash_bytes` of each of ``datas``; keccak hashes them side by side."""
+    if alg == "keccak256":
+        return keccak256_many(datas)
+    return [hash_bytes(alg, data) for data in datas]
 
 
 def parse_signature(signature: str) -> tuple[str, list[str]]:
@@ -165,6 +172,7 @@ def compute_transfer_hash(m: TransferMessage, alg: str) -> bytes:
 class Keypair:
     public_key: bytes
     private_key: bytes
+    signer: Ed25519PrivateKey = field(compare=False, repr=False)
 
     def __repr__(self) -> str:  # keep secrets out of logs
         return f"Keypair(public_key={self.public_key.hex()})"
@@ -179,13 +187,13 @@ def keygen(seed: bytes) -> Keypair:
         Encoding, PublicFormat,
     )
     pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return Keypair(public_key=pub, private_key=seed)
+    return Keypair(public_key=pub, private_key=seed, signer=priv)
 
 
-def sign(private_key: bytes, digest: bytes) -> bytes:
+def sign(keypair: Keypair, digest: bytes) -> bytes:
     if len(digest) != 32:
         raise EncodingError("only 32-byte digests are signed")
-    return Ed25519PrivateKey.from_private_bytes(private_key).sign(digest)
+    return keypair.signer.sign(digest)
 
 
 def verify(public_key: bytes, digest: bytes, signature: bytes) -> bool:

@@ -53,12 +53,12 @@ _INT_FIELDS = ("seed", "transaction_fee", "rate_budget", "rate_window_ticks",
 _OPTIONAL_INT_FIELDS = ("signatory_min_confirmations", "censor_transfer_id")
 
 
-def _u64(name: str, value) -> int:
-    """``value`` if it is an integer in [0, 2**64), else a ConfigError."""
+def _uint(name: str, value, bits: int = 64) -> int:
+    """``value`` if it is an integer in [0, 2**bits), else a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, int)
-            or not 0 <= value < 1 << 64):
+            or not 0 <= value < 1 << bits):
         raise ConfigError(
-            f"{name} must be an integer in [0, 2**64), not {value!r}")
+            f"{name} must be an integer in [0, 2**{bits}), not {value!r}")
     return value
 
 
@@ -112,7 +112,7 @@ class ScenarioConfig:
             self.quorum_size = default_quorum(n)
         for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
             if name in _INT_FIELDS or getattr(self, name) is not None:
-                _u64(name, getattr(self, name))
+                _uint(name, getattr(self, name))
         for name in ("accept_only_authorized", "monitor_auto_pause"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false")
@@ -184,6 +184,8 @@ class World:
         self.config = config
         self.tick = 0
         self.labels: dict[str, bytes] = {}  # workload label -> tx hash
+        # this tick's transfer requests, not yet built: (chain, tx spec, label)
+        self._requests: list[tuple[str, tuple, str | None]] = []
         self.bus: list[tuple[int, str, object]] = []
         self.inboxes: dict[str, list] = {}
         self.config_alarm_log: list = []
@@ -341,30 +343,42 @@ class World:
 
     @staticmethod
     def _gas(a: dict) -> int:
-        return _u64("gas", a.get("gas", 21000))
+        return _uint("gas", a.get("gas", 21000))
 
     def _encoded_call(self, call: dict) -> bytes:
         return encode_function_call(
             call["signature"], [self._resolve_arg(a) for a in call["args"]])
 
     def _do_request_transfer(self, a: dict) -> None:
-        chain = self.chains[a.get("chain", "source")]
-        adapter = self.adapters[a.get("chain", "source")]
-        recipient_net = self.dest.config.network_id \
-            if a.get("chain", "source") == "source" \
-            else self.source.config.network_id
+        """Check and queue one request; `_submit_requests` builds the tx."""
+        side = a.get("chain", "source")
+        chain, adapter = self.chains[side], self.adapters[side]
+        recipient_net = (self.dest if chain is self.source
+                         else self.source).config.network_id
+        for key in ("sender", "recipient", "label"):
+            if not isinstance(a.get(key, ""), str):
+                raise ConfigError(f"{key} must be a string, not {a[key]!r}")
+        value = _uint("value", a.get("value", self.config.transaction_fee), 256)
         recipient = contract_address(recipient_net, a.get("recipient", "storage"))
         payload = encode_request_transfer(
             recipient, self._encoded_call(a["call"]), self._gas(a))
-        tx = chain.make_transaction(
-            sender=account_address(a.get("sender", "alice")),
-            recipient=adapter.address,
-            payload=payload,
-            value=a.get("value", self.config.transaction_fee),
-        )
-        chain.submit_transaction(tx)
-        if "label" in a:
-            self.labels[a["label"]] = tx.tx_hash
+        self._requests.append(
+            (side, (account_address(a.get("sender", "alice")), adapter.address,
+                    payload, value), a.get("label")))
+
+    def _submit_requests(self) -> None:
+        """Build and submit the queued requests in order, one batch per chain."""
+        if not self._requests:
+            return
+        queued, self._requests = self._requests, []
+        built = {side: iter(chain.make_transactions(
+                     [spec for s, spec, _ in queued if s == side]))
+                 for side, chain in self.chains.items()}
+        for side, _, label in queued:
+            tx = next(built[side])
+            self.chains[side].submit_transaction(tx)
+            if label is not None:
+                self.labels[label] = tx.tx_hash
 
     def _do_inject_reorg(self, a: dict) -> None:
         chain = self.chains[a.get("chain", "source")]
@@ -504,7 +518,7 @@ class World:
         entries = []
         for idx in a.get("attacker_signers", [0, 1]):
             kp = self.attacker_keys[idx]
-            entries.append((kp.public_key, sign(kp.private_key, digest)))
+            entries.append((kp.public_key, sign(kp, digest)))
         caller_name = a.get("caller", "attacker")
         if caller_name == "relayer":
             caller = self.relayer.public_key
@@ -536,8 +550,13 @@ class World:
 
     def step(self) -> None:
         self.tick += 1
+        # queued requests are submitted before any other action and mining
         while self._workload and self._workload[0]["tick"] <= self.tick:
-            self.apply_action(self._workload.pop(0))
+            action = self._workload.pop(0)
+            if action["action"] != "request_transfer":
+                self._submit_requests()
+            self.apply_action(action)
+        self._submit_requests()
         for chain in (self.source, self.dest):
             if self.tick % chain.config.block_time_ticks == 0:
                 chain.mine_block(self.tick)

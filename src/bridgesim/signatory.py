@@ -95,7 +95,7 @@ class Signatory:
         if self.mode == "colluding":
             return SignResponse.signed(
                 self.keypair.public_key,
-                sign(self.keypair.private_key, req.transfer_data_hash))
+                sign(self.keypair, req.transfer_data_hash))
         if self.mode == "wrongSignature":
             return SignResponse.signed(
                 self.keypair.public_key,
@@ -130,4 +130,4 @@ class Signatory:
         if digest != req.transfer_data_hash:
             return SignResponse.refused("DataHashMismatch")
         return SignResponse.signed(self.keypair.public_key,
-                                   sign(self.keypair.private_key, digest))
+                                   sign(self.keypair, digest))

@@ -103,7 +103,7 @@ def test_criterion_2_quorum_boundary_exhaustive():
                         source_network_id="alpha")
                     digest = compute_transfer_hash(m, "blake2b256")
                     entries = [(signers[i].public_key,
-                                sign(signers[i].private_key, digest))
+                                sign(signers[i], digest))
                                for i in subset]
                     tx = chain.make_transaction(
                         sender=relayer.public_key,

@@ -88,7 +88,7 @@ class Fixture:
         entries = []
         for i in signer_indices:
             kp = SIGNERS[i]
-            sig = bytes(64) if i in broken else sign(kp.private_key, digest)
+            sig = bytes(64) if i in broken else sign(kp, digest)
             entries.append((kp.public_key, sig))
         return entries
 
@@ -225,7 +225,7 @@ class TestProcessTransfer:
         outsider = SIGNERS[4]  # not in the signatory set
         digest = compute_transfer_hash(m, fx.chain.config.hash_alg)
         entries = fx.bundle(m, [0]) + \
-            [(outsider.public_key, sign(outsider.private_key, digest))]
+            [(outsider.public_key, sign(outsider, digest))]
         _, receipt = fx.process(m, entries)
         assert (receipt.status, receipt.reason) == \
             ("reverted", "InvalidSignature")
@@ -267,9 +267,9 @@ class TestProcessTransfer:
         m = fx.message()
         wrong_digest = compute_transfer_hash(m, "blake2b256")
         entries = [(SIGNERS[0].public_key,
-                    sign(SIGNERS[0].private_key, wrong_digest)),
+                    sign(SIGNERS[0], wrong_digest)),
                    (SIGNERS[1].public_key,
-                    sign(SIGNERS[1].private_key, wrong_digest))]
+                    sign(SIGNERS[1], wrong_digest))]
         _, receipt = fx.process(m, entries)
         assert receipt.reason == "InvalidSignature"
         _, ok = fx.process(m, fx.bundle(m, [0, 1]))

@@ -58,6 +58,8 @@ class TestBasics:
             ChainConfig(network_id="x", finality_depth=-1)
         with pytest.raises(ChainError):
             ChainConfig(network_id="x", hash_alg="md5")
+        with pytest.raises(ChainError):
+            ChainConfig(network_id=5)
 
     def test_fifo_within_block(self):
         chain = make_chain()
@@ -114,6 +116,21 @@ class TestBasics:
         chain.mine_block(tick=1)
         assert chain.get_transaction(tx.tx_hash) == (tx, 1)
         assert chain.contracts[STORE].state["value"] == 5
+
+    @pytest.mark.parametrize("alg", ["keccak256", "blake2b256"])
+    def test_batch_built_txs_equal_one_at_a_time(self, alg, monkeypatch):
+        chain, twin = make_chain(alg), make_chain(alg)
+        specs = [(sender, STORE, encode_function_call(
+                      "setValue(uint128)", [i]), i % 2)
+                 for i, sender in enumerate([ALICE, BOB, ALICE, CAROL, ALICE])]
+        txs = chain.make_transactions(specs)
+        assert txs == [twin.make_transaction(*spec) for spec in specs]
+        assert [tx.seq for tx in txs] == [0, 0, 1, 0, 2]
+        # the identity fast path: the chain that built them does not rehash
+        monkeypatch.setattr(chain, "_tx_hash", None)
+        for tx in txs:
+            chain.submit_transaction(tx)
+        assert chain.pending == txs
 
     def test_reverted_tx_included_with_receipt(self):
         chain = make_chain()

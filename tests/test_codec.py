@@ -5,7 +5,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgesim import (
@@ -27,7 +27,7 @@ from bridgesim.codec import (
     selector,
 )
 
-from bridgesim.keccak import _permute
+from bridgesim.keccak import _permute, _width, keccak256_many
 
 from keccak_ref import _keccak_f, keccak256_ref
 
@@ -102,6 +102,29 @@ class TestHashes:
                                   for x in range(5)])
             _permute(lanes)
             assert lanes == [expected[i % 5][i // 5] for i in range(25)]
+
+    @pytest.mark.parametrize("w", [2, 5, 16])
+    def test_packed_permutation_matches_scalar(self, w):
+        rng = random.Random(w)
+        states = [[rng.getrandbits(64) for _ in range(25)] for _ in range(w)]
+        packed = [sum(s[i] << 128 * k for k, s in enumerate(states))
+                  for i in range(25)]
+        _permute(packed, *_width(w))
+        for s in states:
+            _permute(s)
+        assert packed == [sum(s[i] << 128 * k for k, s in enumerate(states))
+                          for i in range(25)]
+
+    @given(st.lists(
+        st.one_of(st.sampled_from([0, 1, 135, 136, 271, 272]),
+                  st.integers(0, 700)).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)),
+        max_size=20))
+    @example([b"\x01" * n for n in (135, 136, 271, 272, 135, 700, 272, 0)])
+    @settings(max_examples=100, deadline=None)
+    def test_keccak_many_matches_one_at_a_time(self, datas):
+        # ragged batches: groups of equal padded length and lone messages
+        assert keccak256_many(datas) == [keccak256(d) for d in datas]
 
     def test_blake2b_is_stdlib(self):
         data = b"cross-check"
@@ -254,7 +277,7 @@ class TestSignatures:
     def test_sign_verify(self):
         kp = keygen(bytes(range(32)))
         digest = blake2b256(b"payload")
-        sig = sign(kp.private_key, digest)
+        sig = sign(kp, digest)
         assert len(sig) == SIGNATURE_LEN
         assert verify(kp.public_key, digest, sig)
 
@@ -265,14 +288,14 @@ class TestSignatures:
     def test_wrong_key_and_wrong_digest(self):
         kp, other = keygen(b"\x01" * 32), keygen(b"\x02" * 32)
         digest = blake2b256(b"payload")
-        sig = sign(kp.private_key, digest)
+        sig = sign(kp, digest)
         assert not verify(other.public_key, digest, sig)
         assert not verify(kp.public_key, blake2b256(b"other"), sig)
 
     def test_verify_never_raises_on_garbage(self):
         kp = keygen(b"\x07" * 32)
         digest = blake2b256(b"payload")
-        sig = sign(kp.private_key, digest)
+        sig = sign(kp, digest)
         for n in range(0, 64):  # every truncation of a valid signature
             assert not verify(kp.public_key, digest, sig[:n])
         rng = random.Random(4)
@@ -284,7 +307,7 @@ class TestSignatures:
     def test_bit_flipped_signatures_fail(self):
         kp = keygen(b"\x09" * 32)
         digest = blake2b256(b"payload")
-        sig = bytearray(sign(kp.private_key, digest))
+        sig = bytearray(sign(kp, digest))
         rng = random.Random(5)
         for _ in range(50):
             flipped = bytearray(sig)

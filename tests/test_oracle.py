@@ -67,7 +67,7 @@ def message_for(tx, transfer_id=0, arg=5, gas=21000):
 def process_on_dest(dest, m):
     digest = compute_transfer_hash(m, dest.config.hash_alg)
     payload = encode_process_transfer(
-        m, [(SIGNER.public_key, sign(SIGNER.private_key, digest))])
+        m, [(SIGNER.public_key, sign(SIGNER, digest))])
     tx = dest.make_transaction(sender=RELAYER.public_key,
                                recipient=DST_ADAPTER, payload=payload)
     dest.submit_transaction(tx)

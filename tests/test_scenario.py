@@ -89,7 +89,15 @@ class TestWork:
             digests[digest] += 1
             return digest
 
+        keccak_many = codec.keccak256_many
+
+        def counted_many(datas):
+            out = keccak_many(datas)
+            digests.update(out)
+            return out
+
         monkeypatch.setitem(codec.HASH_ALGS, "keccak256", counted)
+        monkeypatch.setattr(codec, "keccak256_many", counted_many)
         codec.selector.cache_clear()
         workload = [
             {"tick": 1 + i // 5, "action": "request_transfer",
@@ -105,6 +113,25 @@ class TestWork:
         # keccak source, blake2b dest: per transfer one tx hash and one
         # event digest, plus one hash per source block (genesis included)
         assert sum(digests.values()) == 2 * 50 + len(world.source.all_blocks)
+
+    def test_same_tick_request_and_reorg_dropping_its_label(self):
+        call = {"signature": "setValue(uint128)", "args": [1]}
+        workload = [
+            {"tick": 2, "action": "request_transfer", "label": "a",
+             "call": call},
+            # the request is queued for its hash batch, yet the reorg after it
+            # finds its label and the pool it joined
+            {"tick": 5, "action": "request_transfer", "label": "b",
+             "call": call},
+            {"tick": 5, "action": "inject_reorg", "depth": 3,
+             "drop": ["a", "b"]},
+        ]
+        world = World(ScenarioConfig(workload=workload, max_ticks=8))
+        for _ in range(5):
+            world.step()
+        assert world.source.get_transaction(world.labels["a"]) is None
+        tx, number = world.source.get_transaction(world.labels["b"])
+        assert (tx.seq, number) == (1, world.source.head_number())
 
 
 class TestClassification:
@@ -283,6 +310,12 @@ class TestCli:
             {"workload": [{"tick": 1, "action": "request_transfer",
                            "call": {"signature": "setValue(uint128)",
                                     "args": 5}}]},
+            {"workload": [dict(request, sender=5)]},
+            {"workload": [dict(request, recipient=5)]},
+            {"workload": [dict(request, value="x")]},
+            {"workload": [dict(request, value=-1)]},
+            {"workload": [dict(request, value=2**256)]},
+            {"source": {"network_id": 5}},
             # scalar fields of the wrong type or out of range
             {"max_ticks": "x"}, {"sign_timeout_ticks": "x"}, {"seed": -1},
             {"censor_transfer_id": "x"}, {"monitor_auto_pause": 1},
