@@ -252,27 +252,22 @@ class Chain:
 
     def make_transaction(self, sender: bytes, recipient: bytes, payload: bytes,
                          value: int = 0) -> Transaction:
-        seq = self._next_seq.get(sender, 0)
-        self._next_seq[sender] = seq + 1
-        tx = Transaction(self._tx_hash(sender, recipient, payload, value, seq),
-                         sender, recipient, payload, value, seq)
-        self._built[tx.tx_hash] = tx
-        return tx
+        return self.make_transactions([(sender, recipient, payload, value)])[0]
 
     def make_transactions(self, specs: list[tuple]) -> list[Transaction]:
-        """`make_transaction` for each ``(sender, recipient, payload, value)``
-        in order, with every tx hash computed in one `hash_many` batch."""
-        seqs = []
-        for sender, _, _, _ in specs:
-            seqs.append(self._next_seq.get(sender, 0))
-            self._next_seq[sender] = seqs[-1] + 1
-        hashes = hash_many(self.config.hash_alg,
-                           [_tx_preimage(*spec, seq)
-                            for spec, seq in zip(specs, seqs)])
-        txs = [Transaction(h, *spec, seq)
-               for h, spec, seq in zip(hashes, specs, seqs)]
-        for tx in txs:
-            self._built[tx.tx_hash] = tx
+        """One tx for each ``(sender, recipient, payload, value)``, seqs
+        assigned in order, every tx hash computed in one `hash_many` batch."""
+        fields, preimages = [], []
+        for sender, recipient, payload, value in specs:
+            seq = self._next_seq.get(sender, 0)
+            self._next_seq[sender] = seq + 1
+            fields.append((sender, recipient, payload, value, seq))
+            preimages.append(_tx_preimage(sender, recipient, payload, value, seq))
+        txs = []
+        for tx_hash, f in zip(hash_many(self.config.hash_alg, preimages), fields):
+            tx = Transaction(tx_hash, *f)
+            self._built[tx_hash] = tx
+            txs.append(tx)
         return txs
 
     def _tx_hash(self, sender, recipient, payload, value, seq) -> bytes:

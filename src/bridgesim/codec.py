@@ -171,7 +171,6 @@ def compute_transfer_hash(m: TransferMessage, alg: str) -> bytes:
 @dataclass(frozen=True)
 class Keypair:
     public_key: bytes
-    private_key: bytes
     signer: Ed25519PrivateKey = field(compare=False, repr=False)
 
     def __repr__(self) -> str:  # keep secrets out of logs
@@ -187,7 +186,7 @@ def keygen(seed: bytes) -> Keypair:
         Encoding, PublicFormat,
     )
     pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return Keypair(public_key=pub, private_key=seed, signer=priv)
+    return Keypair(public_key=pub, signer=priv)
 
 
 def sign(keypair: Keypair, digest: bytes) -> bytes:

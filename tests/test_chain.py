@@ -126,6 +126,9 @@ class TestBasics:
         txs = chain.make_transactions(specs)
         assert txs == [twin.make_transaction(*spec) for spec in specs]
         assert [tx.seq for tx in txs] == [0, 0, 1, 0, 2]
+        assert all(tx.tx_hash == chain._tx_hash(tx.sender, tx.recipient,
+                                                tx.payload, tx.value, tx.seq)
+                   for tx in txs)
         # the identity fast path: the chain that built them does not rehash
         monkeypatch.setattr(chain, "_tx_hash", None)
         for tx in txs:

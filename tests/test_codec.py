@@ -315,8 +315,8 @@ class TestSignatures:
             assert not verify(kp.public_key, digest, bytes(flipped))
 
     def test_repr_hides_secret(self):
-        kp = keygen(b"\x0a" * 32)
-        assert kp.private_key.hex() not in repr(kp)
+        seed = b"\x0a" * 32
+        assert seed.hex() not in repr(keygen(seed))
 
     def test_seed_length_enforced(self):
         with pytest.raises(EncodingError):
