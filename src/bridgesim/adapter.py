@@ -2,7 +2,9 @@
 
 The adapter is a `ContractHandler` registered on a simulated chain. Its
 payloads are tagged canonical byte encodings (helpers below), so adapter
-calls are ordinary transactions and hash deterministically.
+calls are ordinary transactions and hash deterministically. Every decoder
+reads through one bounds-checked `_Reader`: a field cut short, or a call
+shorter than a selector, reverts MalformedPayload.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from .chain import DispatchContext, Revert
 from .codec import (
     SIGNATURE_LEN,
-    EncodingError,
     TransferMessage,
     compute_transfer_hash,
     verify,
@@ -20,15 +21,40 @@ TAG_REQUEST = b"REQT"
 TAG_PROCESS = b"PROC"
 TAG_ADMIN = b"ADMN"
 
-ADMIN_FIELDS = ("relayer", "signatories", "transactionFee",
-                "authorizedSenders", "remoteAdapterAddress")
-
 
 class ConfigError(ValueError):
     pass
 
 
 # -- payload encodings -------------------------------------------------------
+
+class _Reader:
+    """Reads a payload front to back from just past its 4-byte tag."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 4
+
+    def take(self, n: int) -> bytes:
+        """The next ``n`` bytes; reverts if the payload ends first."""
+        pos = self.pos
+        end = self.pos = pos + n
+        if end > len(self.data):
+            raise Revert("MalformedPayload")
+        return self.data[pos:end]
+
+    def uint(self, n: int) -> int:
+        return int.from_bytes(self.take(n), "big")
+
+    def call(self) -> bytes:
+        """A length-prefixed encoded call; it must carry a selector."""
+        call = self.take(self.uint(4))
+        if len(call) < 4:
+            raise Revert("MalformedPayload")
+        return call
+
 
 def encode_request_transfer(recipient_contract: bytes, encoded_call: bytes,
                             gas: int) -> bytes:
@@ -37,14 +63,9 @@ def encode_request_transfer(recipient_contract: bytes, encoded_call: bytes,
 
 
 def decode_request_transfer(payload: bytes) -> tuple[bytes, bytes, int]:
-    body = payload[4:]
-    recipient = body[:32]
-    gas = int.from_bytes(body[32:40], "big")
-    call_len = int.from_bytes(body[40:44], "big")
-    call = body[44:44 + call_len]
-    if len(recipient) != 32 or len(call) != call_len:
-        raise Revert("MalformedPayload")
-    return recipient, call, gas
+    r = _Reader(payload)
+    recipient, gas = r.take(32), r.uint(8)
+    return recipient, r.call(), gas
 
 
 def encode_message(m: TransferMessage) -> bytes:
@@ -57,33 +78,6 @@ def encode_message(m: TransferMessage) -> bytes:
             + m.encoded_function_call)
 
 
-def decode_message(data: bytes) -> tuple[TransferMessage, int]:
-    """Returns the message and the number of bytes consumed."""
-    if len(data) < 32 * 3 + 8 + 8 + 2:
-        raise Revert("MalformedPayload")
-    off = 0
-    src_tx, off = data[off:off + 32], off + 32
-    src_adapter, off = data[off:off + 32], off + 32
-    recipient, off = data[off:off + 32], off + 32
-    gas = int.from_bytes(data[off:off + 8], "big"); off += 8
-    transfer_id = int.from_bytes(data[off:off + 8], "big"); off += 8
-    nid_len = int.from_bytes(data[off:off + 2], "big"); off += 2
-    nid = data[off:off + nid_len]; off += nid_len
-    call_len = int.from_bytes(data[off:off + 4], "big"); off += 4
-    call = data[off:off + call_len]; off += call_len
-    if len(nid) != nid_len or len(call) != call_len:
-        raise Revert("MalformedPayload")
-    return TransferMessage(
-        source_transaction_hash=src_tx,
-        source_adapter_address=src_adapter,
-        recipient_contract=recipient,
-        encoded_function_call=call,
-        gas=gas,
-        source_transfer_id=transfer_id,
-        source_network_id=nid.decode(),
-    ), off
-
-
 def encode_signature_bundle(entries: list[tuple[bytes, bytes]]) -> bytes:
     parts = [len(entries).to_bytes(2, "big")]
     for pub, sig in entries:
@@ -93,32 +87,26 @@ def encode_signature_bundle(entries: list[tuple[bytes, bytes]]) -> bytes:
     return b"".join(parts)
 
 
-def decode_signature_bundle(data: bytes) -> list[tuple[bytes, bytes]]:
-    count = int.from_bytes(data[:2], "big")
-    off = 2
-    entries = []
-    for _ in range(count):
-        pub = data[off:off + 32]; off += 32
-        sig_len = int.from_bytes(data[off:off + 2], "big"); off += 2
-        sig = data[off:off + sig_len]; off += sig_len
-        if len(pub) != 32 or len(sig) != sig_len:
-            raise Revert("MalformedPayload")
-        entries.append((pub, sig))
-    return entries
-
-
 def encode_process_transfer(m: TransferMessage,
                             entries: list[tuple[bytes, bytes]]) -> bytes:
     return TAG_PROCESS + encode_message(m) + encode_signature_bundle(entries)
 
 
 def decode_process_transfer(payload: bytes) -> tuple[TransferMessage, list]:
-    try:  # a network id that is not UTF-8, a call shorter than a selector
-        m, consumed = decode_message(payload[4:])
-        m.validate()
-    except (UnicodeDecodeError, EncodingError):
+    r = _Reader(payload)
+    try:  # arguments are evaluated in the order written: wire order
+        m = TransferMessage(
+            source_transaction_hash=r.take(32),
+            source_adapter_address=r.take(32),
+            recipient_contract=r.take(32),
+            gas=r.uint(8),
+            source_transfer_id=r.uint(8),
+            source_network_id=r.take(r.uint(2)).decode(),
+            encoded_function_call=r.call(),
+        )
+    except UnicodeDecodeError:  # a network id that is not UTF-8
         raise Revert("MalformedPayload") from None
-    entries = decode_signature_bundle(payload[4 + consumed:])
+    entries = [(r.take(32), r.take(r.uint(2))) for _ in range(r.uint(2))]
     return m, entries
 
 
@@ -194,8 +182,6 @@ class AdapterContract:
     def _request_transfer(self, ctx, sender, value, payload) -> None:
         st = self.state
         recipient, call, gas = decode_request_transfer(payload)
-        if gas >= 1 << 64:
-            raise Revert("GasOutOfRange")
         if value < st["transaction_fee"]:
             raise Revert("FeeTooLow")
         if st["accept_only_authorized"] and sender not in st["authorized_senders"]:
@@ -249,35 +235,27 @@ class AdapterContract:
         st = self.state
         if sender != st["owner"]:
             raise Revert("NotOwner")
-        rest = payload[4:]
-
-        def take(n: int) -> bytes:
-            nonlocal rest
-            if len(rest) < n:
-                raise Revert("MalformedPayload")
-            out, rest = rest[:n], rest[n:]
-            return out
-
-        field = take(take(1)[0]).decode(errors="replace")
+        r = _Reader(payload)
+        field = r.take(r.uint(1)).decode(errors="replace")
         if field == "relayer":
-            old, new = st["relayer"], take(32)
+            old, new = st["relayer"], r.take(32)
             st["relayer"] = new
         elif field == "remoteAdapterAddress":
-            old, new = st["remote_adapter"], take(32)
+            old, new = st["remote_adapter"], r.take(32)
             st["remote_adapter"] = new
         elif field == "transactionFee":
-            old, new = _u64(st["transaction_fee"]), take(8)
+            old, new = _u64(st["transaction_fee"]), r.take(8)
             st["transaction_fee"] = int.from_bytes(new, "big")
         elif field == "authorizedSenders":
-            accept_only = bool(take(1)[0])
-            senders = [take(32) for _ in range(int.from_bytes(take(2), "big"))]
+            accept_only = bool(r.uint(1))
+            senders = [r.take(32) for _ in range(r.uint(2))]
             old = b"".join(st["authorized_senders"])
             st["accept_only_authorized"] = accept_only
             st["authorized_senders"] = senders
             new = b"".join(senders)
         elif field == "signatories":
-            keys = [take(32) for _ in range(int.from_bytes(take(2), "big"))]
-            quorum = int.from_bytes(take(2), "big")
+            keys = [r.take(32) for _ in range(r.uint(2))]
+            quorum = r.uint(2)
             if quorum < 1 or quorum > len(keys):
                 raise Revert("ConfigError")
             old = b"".join(st["signatories"]) + _u64(st["quorum_size"])

@@ -38,7 +38,7 @@ from .adapter import (
     event_attr,
     message_from_request_event,
 )
-from .chain import Chain, ChainView, DuplicateTransaction
+from .chain import Chain, ChainView
 from .codec import (
     SIGNATURE_LEN,
     Keypair,
@@ -457,21 +457,22 @@ class BridgeNode:
             entries = sorted(job.collected.items())
             job.submitted_payload = encode_process_transfer(
                 job.transfer, entries)
-        tx = self.dest_chain.make_transaction(
-            sender=self.config.relayer.public_key,
-            recipient=self.config.dest_adapter,
-            payload=job.submitted_payload,
-            value=0,
-        )
-        try:
-            self.dest_chain.submit_transaction(tx)
-        except DuplicateTransaction:
-            pass
-        job.submitted_tx = tx.tx_hash
+        job.submitted_tx = self._send(job.submitted_payload)
         self._track(job)
         self.inflight = job
         self._write_journal(tick, job, "submitting", "submitting",
-                            f"tx {tx.tx_hash.hex()[:16]}")
+                            f"tx {job.submitted_tx.hex()[:16]}")
+
+    def _send(self, payload: bytes) -> bytes:
+        """Send ``payload`` to the dest adapter as the relayer; the tx hash."""
+        tx = self.dest_chain.make_transaction(
+            sender=self.config.relayer.public_key,
+            recipient=self.config.dest_adapter,
+            payload=payload,
+            value=0,
+        )
+        self.dest_chain.submit_transaction(tx)
+        return tx.tx_hash
 
     def _advance_dest_finality(self, job: TransferJob, tick: int) -> None:
         conf = self.dest_view.head_number() - (job.processed_block or 0)
@@ -485,15 +486,9 @@ class BridgeNode:
         job = self.jobs.get(transfer_id)
         if job is None or not job.submitted_payload:
             return
-        tx = self.dest_chain.make_transaction(
-            sender=self.config.relayer.public_key,
-            recipient=self.config.dest_adapter,
-            payload=job.submitted_payload,
-            value=0,
-        )
-        self.dest_chain.submit_transaction(tx)
+        tx_hash = self._send(job.submitted_payload)
         self._write_journal(tick, job, "done", "done",
-                            f"replayed tx {tx.tx_hash.hex()[:16]}")
+                            f"replayed tx {tx_hash.hex()[:16]}")
 
     def byzantine_forge(self, m: TransferMessage, tick: int,
                         claimed_block: int = 0,

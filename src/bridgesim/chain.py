@@ -514,7 +514,9 @@ class ChainView:
 
     Actors are handed views rather than the chain itself; a corrupted view
     models a compromised chain connection for one actor without touching
-    the underlying ledger.
+    the underlying ledger. Every read shows one forged block (`_forged`) in
+    place of block ``corruption.block_number``, hiding the real block N, its
+    hash and its events; tx reads look in the forged block first.
     """
 
     def __init__(self, chain: Chain, corruption: ViewCorruption | None = None):
@@ -523,11 +525,15 @@ class ChainView:
         self.network_id = chain.config.network_id
         self.hash_alg = chain.config.hash_alg
 
-    def _fab_block(self) -> Block | None:
+    def _forged(self) -> Block | None:
+        """The block shown at ``corruption.block_number`` (None: honest view):
+        the real block under the fake hash, or the fabricated tx's block."""
         c = self.corruption
-        if c.kind != "fabricate_transfer":
+        if c.kind not in ("substitute_block_hash", "fabricate_transfer"):
             return None
         real = self._chain.get_block(c.block_number)
+        if c.kind == "substitute_block_hash":
+            return replace(real, block_hash=c.fake_hash) if real else None
         parent = (real.parent_hash if real is not None else ZERO32)
         txs = (c.fake_transaction,) if c.fake_transaction else ()
         events = (c.fake_event,) if c.fake_event else ()
@@ -541,72 +547,52 @@ class ChainView:
         return self._chain.head_number()
 
     def head_hash(self) -> bytes:
-        c = self.corruption
-        if (c.kind == "substitute_block_hash"
-                and c.block_number == self._chain.head_number()):
-            return c.fake_hash
-        fab = self._fab_block()
-        if fab is not None and fab.number == self._chain.head_number():
-            return fab.block_hash
-        return self._chain.head_hash()
+        return self.get_block(self.head_number()).block_hash
 
     def get_block(self, number: int) -> Block | None:
-        c = self.corruption
-        fab = self._fab_block()
-        if fab is not None and number == fab.number:
-            return fab
-        block = self._chain.get_block(number)
-        if (block is not None and c.kind == "substitute_block_hash"
-                and number == c.block_number):
-            return replace(block, block_hash=c.fake_hash)
-        return block
+        forged = self._forged()
+        if forged is not None and number == forged.number:
+            return forged
+        return self._chain.get_block(number)
 
     def get_block_by_hash(self, block_hash: bytes) -> Block | None:
-        fab = self._fab_block()
-        if fab is not None and block_hash == fab.block_hash:
-            return fab
-        c = self.corruption
-        if c.kind == "substitute_block_hash":
-            if block_hash == c.fake_hash:
-                return self.get_block(c.block_number)
-            real = self._chain.get_block(c.block_number)
-            if real is not None and block_hash == real.block_hash:
-                return None
-        return self._chain.get_block_by_hash(block_hash)
+        forged = self._forged()
+        if forged is not None and block_hash == forged.block_hash:
+            return forged
+        block = self._chain.get_block_by_hash(block_hash)
+        if (forged is not None and block is not None
+                and block.number == forged.number):
+            return None  # the real block N is not in this view
+        return block
 
     def get_transaction(self, tx_hash: bytes) -> tuple[Transaction, int] | None:
-        fab = self._fab_block()
-        if fab is not None:
-            for tx in fab.transactions:
-                if tx.tx_hash == tx_hash:
-                    return tx, fab.number
+        forged = self._forged()
+        for tx in forged.transactions if forged else ():
+            if tx.tx_hash == tx_hash:
+                return tx, forged.number
         return self._chain.get_transaction(tx_hash)
 
     def get_receipt(self, tx_hash: bytes) -> Receipt | None:
-        fab = self._fab_block()
-        if fab is not None:
-            for r in fab.receipts:
-                if r.tx_hash == tx_hash:
-                    return r
+        forged = self._forged()
+        for r in forged.receipts if forged else ():
+            if r.tx_hash == tx_hash:
+                return r
         return self._chain.get_receipt(tx_hash)
 
     def get_events(self, emitter, name, from_block, to_block) -> list[EventLog]:
         out = self._chain.get_events(emitter, name, from_block, to_block)
-        fab = self._fab_block()
-        if fab is not None and from_block <= fab.number <= to_block:
-            for ev in fab.events:
-                if emitter is not None and ev.emitter != emitter:
-                    continue
-                if name is not None and ev.name != name:
-                    continue
-                out.append(ev)
-            out.sort(key=lambda e: e.block_number)
-        return out
+        forged = self._forged()
+        if forged is None or not from_block <= forged.number <= to_block:
+            return out
+        out = [ev for ev in out if ev.block_number != forged.number]
+        out += [ev for ev in forged.events
+                if (emitter is None or ev.emitter == emitter)
+                and (name is None or ev.name == name)]
+        return sorted(out, key=lambda ev: ev.block_number)
 
     def confirmations(self, tx_hash: bytes) -> int | None:
-        fab = self._fab_block()
-        if fab is not None:
-            for tx in fab.transactions:
-                if tx.tx_hash == tx_hash:
-                    return self._chain.head_number() - fab.number
+        forged = self._forged()
+        for tx in forged.transactions if forged else ():
+            if tx.tx_hash == tx_hash:
+                return self.head_number() - forged.number
         return self._chain.confirmations(tx_hash)

@@ -16,7 +16,7 @@ import sys
 
 from .adapter import ConfigError
 from .scenario import ScenarioConfig, World
-from .suite import SUITE, run_scenario
+from .suite import run_suite
 
 
 def _cmd_run(args) -> int:
@@ -90,13 +90,13 @@ def _cmd_demo(args) -> int:
 def _cmd_suite(args) -> int:
     failures = 0
     print(f"{'scenario':34s} {'risk':8s} {'predicted':10s} {'actual':10s} verdict")
-    for entry in SUITE:
-        report = run_scenario(entry.build())
+    results = run_suite()
+    for entry, report in results:
         match = report.classification == entry.expected
         failures += 0 if match else 1
         print(f"{entry.name:34s} {entry.risk:8s} {entry.expected:10s} "
               f"{report.classification:10s} {'match' if match else 'MISMATCH'}")
-    print(f"{len(SUITE)} scenarios, {failures} mismatches")
+    print(f"{len(results)} scenarios, {failures} mismatches")
     return 0 if failures == 0 else 1
 
 

@@ -10,7 +10,7 @@ reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .adapter import (
     AdapterContract,
@@ -164,17 +164,7 @@ class ScenarioReport:
     classification: str
 
     def to_text(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "end_tick": self.end_tick,
-            "requested": self.requested,
-            "delivered": self.delivered,
-            "stalls": self.stalls,
-            "violations": self.violations,
-            "alarms": self.alarms,
-            "classification": self.classification,
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
 
 class World:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgesim import (
     AdapterContract,
@@ -382,6 +384,68 @@ class TestAdmin:
             AdapterContract(ADAPTER, OWNER, RELAYER.public_key,
                             [SIGNERS[0].public_key], quorum_size=1,
                             transaction_fee=-1)
+
+
+WORDS = st.binary(min_size=32, max_size=32)
+CALLS = st.binary(min_size=4, max_size=40)
+U64 = st.integers(0, (1 << 64) - 1)
+
+
+@st.composite
+def valid_payloads(draw):
+    """(sender, payload, value) for a payload a fresh Fixture accepts."""
+    kind = draw(st.sampled_from(["request", "process", "admin"]))
+    if kind == "request":
+        payload = encode_request_transfer(draw(WORDS), draw(CALLS), draw(U64))
+        return ALICE, payload, FEE
+    if kind == "process":
+        m = TransferMessage(
+            source_transaction_hash=draw(WORDS),
+            source_adapter_address=draw(WORDS),
+            recipient_contract=STORE, encoded_function_call=draw(CALLS),
+            gas=draw(U64), source_transfer_id=0,
+            source_network_id=draw(st.text(max_size=8)))
+        digest = compute_transfer_hash(m, "blake2b256")
+        entries = [(SIGNERS[i].public_key, sign(SIGNERS[i], digest))
+                   for i in draw(st.sampled_from([[0, 1], [0, 1, 2], [2, 0]]))]
+        return RELAYER.public_key, encode_process_transfer(m, entries), 0
+    field = draw(st.sampled_from(["relayer", "remoteAdapterAddress",
+                                  "transactionFee", "authorizedSenders",
+                                  "signatories"]))
+    if field == "transactionFee":
+        value = draw(U64)
+    elif field == "authorizedSenders":
+        value = (draw(st.booleans()), draw(st.lists(WORDS, max_size=3)))
+    elif field == "signatories":
+        keys = draw(st.lists(WORDS, min_size=1, max_size=4))
+        value = (keys, draw(st.integers(1, len(keys))))
+    else:
+        value = draw(WORDS)
+    return OWNER, encode_admin_set(field, value), 0
+
+
+class TestTruncatedPayloads:
+    @settings(max_examples=40, deadline=None)
+    @given(valid_payloads())
+    def test_every_strict_prefix_reverts_malformed(self, case):
+        sender, payload, value = case
+        fx = Fixture()
+        before = json.loads(fx.chain.dump_state())
+        txs = fx.chain.make_transactions(
+            [(sender, ADAPTER, payload[:n], value)
+             for n in range(4, len(payload))])
+        for tx in txs:
+            fx.chain.submit_transaction(tx)
+        fx.chain.mine_block(tick=1)
+        for tx in txs:
+            receipt = fx.chain.get_receipt(tx.tx_hash)
+            assert (receipt.status, receipt.reason) == (
+                "reverted", "MalformedPayload"), len(tx.payload)
+        after = json.loads(fx.chain.dump_state())
+        assert after["contracts"] == before["contracts"]
+        assert after["balances"] == before["balances"]
+        _, receipt = fx.submit(sender, payload, value=value)
+        assert receipt.status == "ok"
 
 
 class TestDefaultQuorum:

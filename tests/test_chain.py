@@ -524,3 +524,29 @@ class TestViews:
         assert chain.get_transaction(fake_tx.tx_hash) is None
         assert chain.get_events(STORE, "ValueChanged", 0,
                                 chain.head_number()) == []
+
+    def test_fabricated_block_replaces_block_n_in_every_read(self):
+        from bridgesim import ChainView, EventLog, Transaction, ViewCorruption
+        chain = make_chain()
+        chain.mine_block(tick=1)
+        set_value(chain, 7)
+        chain.mine_block(tick=2)  # block 2 holds a real ValueChanged event
+        real = chain.get_block(2)
+        assert real.events
+        fake_tx = Transaction(tx_hash=blake2b256(b"fake"), sender=ALICE,
+                              recipient=STORE, payload=b"", value=0, seq=0)
+        fake_ev = EventLog(emitter=STORE, name="ValueChanged",
+                           attributes=(("value", b"\x2a"),),
+                           tx_hash=fake_tx.tx_hash, block_number=2)
+        view = ChainView(chain, ViewCorruption(
+            kind="fabricate_transfer", block_number=2,
+            fake_hash=blake2b256(b"fake-block"),
+            fake_transaction=fake_tx, fake_event=fake_ev))
+        assert view.get_events(STORE, None, 0, 2) == [fake_ev]
+        assert view.get_events(None, "ValueChanged", 2, 2) == [fake_ev]
+        assert view.get_block_by_hash(real.block_hash) is None
+        shown = view.get_block(2)
+        assert view.head_hash() == shown.block_hash == blake2b256(b"fake-block")
+        assert view.get_block_by_hash(shown.block_hash) == shown
+        assert view.get_block_by_hash(chain.get_block(1).block_hash) == \
+            chain.get_block(1)

@@ -6,7 +6,9 @@ from collections import Counter
 import pytest
 
 from bridgesim import ConfigError, ScenarioConfig, World, codec, run_scenario
+from bridgesim.adapter import encode_request_transfer
 from bridgesim.cli import main as cli_main
+from bridgesim.scenario import account_address, contract_address
 from bridgesim.suite import SUITE
 
 
@@ -132,6 +134,28 @@ class TestWork:
         assert world.source.get_transaction(world.labels["a"]) is None
         tx, number = world.source.get_transaction(world.labels["b"])
         assert (tx.seq, number) == (1, world.source.head_number())
+
+
+    @pytest.mark.parametrize("call_len", [None, 0, 3],
+                             ids=["cut-after-gas", "empty", "three-bytes"])
+    def test_request_without_a_selector_reverts_malformed(self, call_len):
+        # the relay's transfer hash needs a selector, so the adapter refuses
+        # the request before the relay can see it
+        world = World(ScenarioConfig(max_ticks=200))
+        recipient = contract_address(world.dest.config.network_id, "storage")
+        payload = encode_request_transfer(recipient, bytes(call_len or 0),
+                                          21000)
+        if call_len is None:
+            payload = payload[:4 + 32 + 8]
+        tx = world.source.make_transaction(
+            account_address("alice"), world.adapters["source"].address,
+            payload, world.config.transaction_fee)
+        world.source.submit_transaction(tx)
+        report = world.run()
+        receipt = world.source.get_receipt(tx.tx_hash)
+        assert (receipt.status, receipt.reason) == ("reverted",
+                                                    "MalformedPayload")
+        assert report.requested == [] and report.classification == "low"
 
 
 class TestClassification:
