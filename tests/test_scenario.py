@@ -135,7 +135,6 @@ class TestWork:
         tx, number = world.source.get_transaction(world.labels["b"])
         assert (tx.seq, number) == (1, world.source.head_number())
 
-
     @pytest.mark.parametrize("call_len", [None, 0, 3],
                              ids=["cut-after-gas", "empty", "three-bytes"])
     def test_request_without_a_selector_reverts_malformed(self, call_len):
