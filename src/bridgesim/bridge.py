@@ -25,12 +25,20 @@ that are neither `done` nor `stalled` are split in two tables, kept by
 forged) that carry it, so the dest event scan looks each event up instead of
 scanning the jobs. Forged jobs have their own list, visited every step, and
 skip the ordering rule.
+
+The store holds one pickled blob per job and lists the ids of the live
+(neither `done` nor `stalled`) real jobs, so a restart costs time in the
+live jobs, not in the history: `restore` takes the persisted blobs as the
+new node's store, decodes only the live and forged jobs, and re-pickles
+only those it changes. A final job stays its blob in `jobs` (a `_JobTable`)
+until something reads it.
 """
 
 from __future__ import annotations
 
 import pickle
 from bisect import insort
+from collections import UserDict
 from dataclasses import dataclass, field
 
 from .adapter import (
@@ -92,6 +100,21 @@ class TransferJob:
         return self.transfer.source_transfer_id
 
 
+class _JobTable(UserDict):
+    """``transfer_id -> TransferJob`` of a restored bridge. A job is held as
+    its persisted blob until first read, then decoded in place, so every
+    read sees the same object in the same order as a plain dict would."""
+
+    def __init__(self, blobs: dict[int, bytes]):
+        self.data = dict(blobs)
+
+    def __getitem__(self, tid: int) -> TransferJob:
+        job = self.data[tid]
+        if type(job) is bytes:
+            job = self.data[tid] = pickle.loads(job)
+        return job
+
+
 @dataclass
 class ChainStatus:
     last_seen_head: tuple = (0, b"")
@@ -109,7 +132,7 @@ class BridgeNode:
         self.dest_view = dest_view
         self.dest_chain = dest_chain
         self.post = post
-        self.jobs: dict[int, TransferJob] = {}
+        self.jobs: dict[int, TransferJob] = {}  # a _JobTable once restored
         self.moving: dict[int, TransferJob] = {}
         self.queued: dict[int, TransferJob] = {}
         self.by_source_tx: dict[bytes, list[TransferJob]] = {}
@@ -129,7 +152,7 @@ class BridgeNode:
         }
         self._job_blobs: dict[int, bytes] = {}
         self._forged_blobs: list[bytes] = []
-        self._persist()
+        self._live: dict[int, None] = {}  # ids of the live real jobs, in order
 
     # -- journal / persistence ----------------------------------------------
 
@@ -167,16 +190,17 @@ class BridgeNode:
                   and tid != self.config.censor_transfer_id)
         (self.queued if parked else self.moving)[tid] = job
 
-    def _persist(self, job: TransferJob | None = None) -> None:
+    def _persist(self, job: TransferJob) -> None:
         """Write-through store: only the changed job is re-serialized."""
-        if job is None:
-            self._job_blobs = {tid: pickle.dumps(j)
-                               for tid, j in self.jobs.items()}
+        if job.forged:
             self._forged_blobs = [pickle.dumps(j) for j in self.forged_jobs]
-        elif job.forged:
-            self._forged_blobs = [pickle.dumps(j) for j in self.forged_jobs]
+            return
+        tid = job.transfer_id
+        self._job_blobs[tid] = pickle.dumps(job)
+        if job.state in FINAL_STATES:
+            self._live.pop(tid, None)
         else:
-            self._job_blobs[job.transfer_id] = pickle.dumps(job)
+            self._live[tid] = None
 
     @property
     def persisted(self) -> bytes:
@@ -189,6 +213,7 @@ class BridgeNode:
             "dest_cursor": self.dest_cursor,
             "alarms": self.alarms,
             "paused": self.paused,
+            "live": list(self._live),
         })
 
     @classmethod
@@ -198,28 +223,38 @@ class BridgeNode:
         """Rebuild a bridge from its persisted job store after a crash.
 
         In-flight submissions are resubmitted; the destination adapter's
-        processed map turns duplicates into AlreadyProcessed events.
+        processed map turns duplicates into AlreadyProcessed events. The
+        persisted blobs become the new store as they are; only the live and
+        forged jobs are decoded, and only a job whose sent tx or signing
+        request is reset here is re-pickled. Final jobs stay blobs in
+        ``jobs`` until read.
         """
         node = cls(config, source_view, dest_view, dest_chain, post)
         doc = pickle.loads(persisted)
-        node.jobs = {tid: pickle.loads(blob)
-                     for tid, blob in doc["jobs"].items()}
-        node.forged_jobs = [pickle.loads(blob) for blob in doc["forged_jobs"]]
+        node._job_blobs = doc["jobs"]
+        node._forged_blobs = doc["forged_jobs"]
+        node._live = dict.fromkeys(doc["live"])
+        node.jobs = _JobTable(node._job_blobs)
+        node.forged_jobs = [pickle.loads(blob) for blob in node._forged_blobs]
         node.journal = doc["journal"]
         node.source_cursor = doc["source_cursor"]
         node.dest_cursor = doc["dest_cursor"]
         node.alarms = doc["alarms"]
         node.paused = doc["paused"]
-        for job in node._all_jobs():
+        for job in [node.jobs[tid] for tid in node._live] + node.forged_jobs:
             if job.state in FINAL_STATES:
-                continue  # in none of the tables
-            if job.state == "submitting":
+                continue  # a forged job; in none of the tables
+            sent = job.state == "submitting" and job.submitted_tx
+            asked = (job.state == "collectingSignatures"
+                     and job.request_tick != -1)
+            if sent:
                 # the submitted tx may or may not have landed; resubmit
                 job.submitted_tx = b""
-            if job.state == "collectingSignatures":
+            if asked:
                 job.request_tick = -1  # rebroadcast on the next step
             node._track(job)
-        node._persist()
+            if sent or asked:
+                node._persist(job)
         return node
 
     def _all_jobs(self):

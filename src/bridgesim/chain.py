@@ -514,9 +514,10 @@ class ChainView:
 
     Actors are handed views rather than the chain itself; a corrupted view
     models a compromised chain connection for one actor without touching
-    the underlying ledger. Every read shows one forged block (`_forged`) in
-    place of block ``corruption.block_number``, hiding the real block N, its
-    hash and its events; tx reads look in the forged block first.
+    the underlying ledger. Once the chain has sealed block
+    ``corruption.block_number``, every read shows one forged block
+    (`_forged`) in its place, hiding the real block N, its hash and its
+    events; tx reads look in the forged block first.
     """
 
     def __init__(self, chain: Chain, corruption: ViewCorruption | None = None):
@@ -526,22 +527,23 @@ class ChainView:
         self.hash_alg = chain.config.hash_alg
 
     def _forged(self) -> Block | None:
-        """The block shown at ``corruption.block_number`` (None: honest view):
-        the real block under the fake hash, or the fabricated tx's block."""
+        """The block shown at ``corruption.block_number`` (None: honest view,
+        or the chain has not sealed that block yet): the real block under
+        the fake hash, or the fabricated tx's block."""
         c = self.corruption
         if c.kind not in ("substitute_block_hash", "fabricate_transfer"):
             return None
         real = self._chain.get_block(c.block_number)
+        if real is None:
+            return None
         if c.kind == "substitute_block_hash":
-            return replace(real, block_hash=c.fake_hash) if real else None
-        parent = (real.parent_hash if real is not None else ZERO32)
+            return replace(real, block_hash=c.fake_hash)
         txs = (c.fake_transaction,) if c.fake_transaction else ()
         events = (c.fake_event,) if c.fake_event else ()
         receipts = tuple(Receipt(t.tx_hash, "ok") for t in txs)
-        tick = real.tick if real is not None else 0
         return Block(number=c.block_number, block_hash=c.fake_hash,
-                     parent_hash=parent, tick=tick, transactions=txs,
-                     events=events, receipts=receipts)
+                     parent_hash=real.parent_hash, tick=real.tick,
+                     transactions=txs, events=events, receipts=receipts)
 
     def head_number(self) -> int:
         return self._chain.head_number()

@@ -18,9 +18,6 @@ from .adapter import (
 )
 from .chain import Chain, EventLog
 
-VIOLATION_REASONS = ("noSourceRequest", "sourceRequestOrphaned",
-                     "payloadMismatch")
-
 
 @dataclass(frozen=True)
 class CausalityViolation:

@@ -45,7 +45,6 @@ from .contracts import MintableToken, RejectingContract, StorageContract
 from .oracle import causality_oracle
 from .signatory import BEHAVIOR_MODES, Signatory
 
-IMPACT_LEVELS = ("low", "medium", "high")
 # integer scenario fields, each in [0, 2**64); the optional ones may be None
 _INT_FIELDS = ("seed", "transaction_fee", "rate_budget", "rate_window_ticks",
                "sign_timeout_ticks", "max_retries", "liveness_timeout_ticks",

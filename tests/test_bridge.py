@@ -1,10 +1,14 @@
 """Relay node: finality gating, ordering, retries, recovery, byzantine modes."""
 
+import pickle
 import re
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
+import bridgesim.bridge as bridge_module
 from bridgesim import ScenarioConfig, World, contract_address
-from bridgesim.bridge import FINAL_STATES, TransferJob
+from bridgesim.bridge import FINAL_STATES, BridgeNode, TransferJob
 
 
 def transfer_action(i, tick, **kw):
@@ -205,6 +209,83 @@ class TestCrashRecovery:
             0, world.dest.head_number())
         assert len(processed) == 1
 
+    def test_restart_keeps_every_final_job_in_order(self):
+        world = World(ScenarioConfig(
+            workload=[transfer_action(i, 1 + 3 * i) for i in range(12)]))
+        while True:
+            world.step()
+            states = [j.state for j in world.bridge.jobs.values()]
+            if (states.count("done") >= 3
+                    and any(s not in FINAL_STATES for s in states)):
+                break
+        old = world.bridge
+        world.restart_bridge()
+        new = world.bridge
+        assert list(new.jobs) == list(old.jobs)
+        assert len(new.jobs) == len(old.jobs)
+        final = [(t, j) for t, j in old.jobs.items() if j.state in FINAL_STATES]
+        assert final == [(t, j) for t, j in new.jobs.items()
+                         if j.state in FINAL_STATES]
+        for tid, job in final:
+            assert tid in new.jobs
+            assert new.jobs[tid] is new.jobs.get(tid)
+            assert new.jobs[tid] == job
+        assert new._all_jobs() == [*new.jobs.values(), *new.forged_jobs]
+        report = world.run()
+        assert [d[0] for d in report.delivered] == list(range(12))
+
+    def test_restore_writes_its_resets_through_to_the_store(self):
+        world = World(ScenarioConfig(
+            workload=[transfer_action(i, 1 + i) for i in range(6)]))
+        # restart with a signing request out, then with a tx out
+        for state, out in (("collectingSignatures", "request_tick"),
+                           ("submitting", "submitted_tx")):
+            while not any(j.state == state and getattr(j, out) not in (-1, b"")
+                          for j in world.bridge.jobs.values()):
+                world.step()
+            world.restart_bridge()
+            bridge = world.bridge
+            doc = pickle.loads(bridge.persisted)
+            stored = {t: pickle.loads(b) for t, b in doc["jobs"].items()}
+            assert stored == dict(bridge.jobs.items())
+            assert not any(j.submitted_tx for j in stored.values()
+                           if j.state == "submitting")
+            assert all(j.request_tick == -1 for j in stored.values()
+                       if j.state == "collectingSignatures")
+            world.step()
+
+    def test_replay_after_restart_sends_the_payload(self):
+        world, _ = run(ScenarioConfig(
+            workload=[transfer_action(i, 1) for i in range(3)]))
+        world.restart_bridge()
+        job = world.bridge.jobs[1]
+        assert job.state == "done" and job.submitted_payload
+        world.bridge.byzantine_replay(1, world.tick + 1)
+        assert [tx.payload for tx in world.dest.pending] == \
+            [job.submitted_payload]
+        assert world.bridge.journal[-1].startswith(
+            f"{world.tick + 1} | 1 | done -> done | replayed tx ")
+
+    def test_restore_of_a_settled_store_persists_the_same_bytes(self):
+        world = World(ScenarioConfig(
+            workload=[transfer_action(i, 1 + 4 * i) for i in range(8)]))
+        checked = Counter()
+        while not world.quiescent() or world.tick < 60:
+            world.step()
+            bridge = world.bridge
+            jobs = [*bridge.jobs.values(), *bridge.forged_jobs]
+            if any(j.state == "collectingSignatures"
+                   or j.state == "submitting" and j.submitted_tx
+                   for j in jobs):
+                continue
+            persisted = bridge.persisted
+            restored = BridgeNode.restore(
+                persisted, world.bridge_config, bridge.source_view,
+                bridge.dest_view, world.dest, world.post)
+            assert restored.persisted == persisted
+            checked[all(j.state in FINAL_STATES for j in jobs)] += 1
+        assert checked[False] and checked[True]  # with live jobs, and without
+
     def test_journal_survives_restart(self):
         config = ScenarioConfig(
             workload=[transfer_action(0, 1),
@@ -253,6 +334,34 @@ class TestWork:
 
         small, large = visits(100), visits(200)
         assert large <= 2.2 * small, (small, large)
+
+    def test_restore_work_does_not_grow_with_history(self, monkeypatch):
+        def restore_pickle_calls(count):
+            world, report = run(ScenarioConfig(
+                workload=[transfer_action(i, 1 + i // 5)
+                          for i in range(count)]))
+            assert [d[0] for d in report.delivered] == list(range(count))
+            bridge = world.bridge
+            persisted = bridge.persisted
+            calls = Counter()
+
+            def counted(name):
+                def call(*args, **kwargs):
+                    calls[name] += 1
+                    return getattr(pickle, name)(*args, **kwargs)
+                return call
+
+            with monkeypatch.context() as m:
+                m.setattr(bridge_module, "pickle", SimpleNamespace(
+                    loads=counted("loads"), dumps=counted("dumps")))
+                BridgeNode.restore(persisted, world.bridge_config,
+                                   bridge.source_view, bridge.dest_view,
+                                   world.dest, world.post)
+            return calls
+
+        # every job is final: the store document is the only thing decoded
+        assert restore_pickle_calls(100) == restore_pickle_calls(200) == \
+            Counter(loads=1)
 
     def test_job_tables_match_a_rebuild_every_tick(self):
         workload = [transfer_action(i, 1 + i // 2) for i in range(40)]

@@ -550,3 +550,34 @@ class TestViews:
         assert view.get_block_by_hash(shown.block_hash) == shown
         assert view.get_block_by_hash(chain.get_block(1).block_hash) == \
             chain.get_block(1)
+
+    def test_fabricated_block_hidden_until_chain_seals_it(self):
+        from bridgesim import ChainView, EventLog, Transaction, ViewCorruption
+        chain = make_chain()
+        chain.mine_block(tick=1)
+        fake_tx = Transaction(tx_hash=blake2b256(b"fake"), sender=ALICE,
+                              recipient=STORE, payload=b"", value=0, seq=0)
+        fake_ev = EventLog(emitter=STORE, name="ValueChanged",
+                           attributes=(("value", b"\x2a"),),
+                           tx_hash=fake_tx.tx_hash, block_number=5)
+        view = ChainView(chain, ViewCorruption(
+            kind="fabricate_transfer", block_number=5,
+            fake_hash=blake2b256(b"fake-block"),
+            fake_transaction=fake_tx, fake_event=fake_ev))
+        # head 1: block 5 does not exist yet, in the view as on the chain
+        assert view.get_block(5) is None
+        assert view.confirmations(fake_tx.tx_hash) is None
+        assert view.get_events(STORE, None, 0, 5) == []
+        assert view.get_transaction(fake_tx.tx_hash) is None
+        assert view.get_receipt(fake_tx.tx_hash) is None
+        for t in range(2, 6):
+            chain.mine_block(tick=t)
+        # head 5: the forged block stands in for block 5
+        shown = view.get_block(5)
+        assert shown.block_hash == blake2b256(b"fake-block")
+        assert shown.parent_hash == chain.get_block(4).block_hash
+        assert shown.tick == chain.get_block(5).tick
+        assert view.confirmations(fake_tx.tx_hash) == 0
+        assert view.get_events(STORE, None, 0, 5) == [fake_ev]
+        assert view.get_transaction(fake_tx.tx_hash) == (fake_tx, 5)
+        assert view.get_receipt(fake_tx.tx_hash).status == "ok"
