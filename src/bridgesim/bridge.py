@@ -7,10 +7,12 @@ are appended to a journal by `_write_journal` alone and mirrored into a
 pickled store, so a bridge can be killed at any transition point and rebuilt
 with `BridgeNode.restore` without ever double-delivering a transfer.
 
-A job submits once no earlier id is still in progress (`IN_PROGRESS`), as
-the destination adapter's nonce check would revert it otherwise. Real jobs
-that are neither `done` nor `stalled` are split in two tables, kept by
-`BridgeNode._track` alone:
+`jobs` maps each transfer id to its real job and is the only table that
+holds real job objects; `moving`, `queued` and `by_source_tx` hold transfer
+ids. A job submits once no earlier id is still in progress (`IN_PROGRESS`),
+as the destination adapter's nonce check would revert it otherwise. Real
+jobs that are neither `done` nor `stalled` are split in two id sets, kept by
+`BridgeNode._track` once `restore` has filled them:
 
 - `queued` holds the parked jobs: in `submitting`, with no tx out and not
   the censored id. Each waits for every earlier id, and the lowest queued id
@@ -21,17 +23,28 @@ that are neither `done` nor `stalled` are split in two tables, kept by
   order. A censored job stays here, so it stalls at its first visit even
   behind earlier ids.
 
-`by_source_tx` maps a source tx hash to the jobs in `submitting` (real and
-forged) that carry it, so the dest event scan looks each event up instead of
-scanning the jobs. Forged jobs have their own list, visited every step, and
-skip the ordering rule.
+`by_source_tx` maps a source tx hash to the ids of the real jobs in
+`submitting` that carry it, so the dest event scan looks each event up
+instead of scanning the jobs. Forged jobs have their own list, visited every
+step; they skip the ordering rule, and the dest scan matches them from that
+list.
 
-The store holds one pickled blob per job and lists the ids of the live
-(neither `done` nor `stalled`) real jobs, so a restart costs time in the
-live jobs, not in the history: `restore` takes the persisted blobs as the
-new node's store, decodes only the live and forged jobs, and re-pickles
-only those it changes. A final job stays its blob in `jobs` (a `_JobTable`)
-until something reads it.
+The store holds one pickled blob per job and two indexes, both written by
+`_persist` alone from the job as stored:
+
+- the live index, an `(id, source tx hash)` pair per live real job, with the
+  hash given for a parked job and None for the rest;
+- the stalled index, an `(id, stall reason)` pair per stalled real job, from
+  which the report lists the stalls without decoding them.
+
+A restart costs time in the jobs that can act, not in the backlog waiting
+behind them or the history: `restore` takes the persisted blobs as the new
+node's store, files the parked jobs into `queued` and `by_source_tx` from
+the live index, decodes only the other live jobs and the forged jobs, and
+re-pickles only those it changes. Every other job stays its blob in `jobs`
+(a `_JobTable`) until something reads it: a parked job is decoded when
+`step` visits it as the unblocked queue head, or when the dest scan matches
+its source hash.
 """
 
 from __future__ import annotations
@@ -133,9 +146,9 @@ class BridgeNode:
         self.dest_chain = dest_chain
         self.post = post
         self.jobs: dict[int, TransferJob] = {}  # a _JobTable once restored
-        self.moving: dict[int, TransferJob] = {}
-        self.queued: dict[int, TransferJob] = {}
-        self.by_source_tx: dict[bytes, list[TransferJob]] = {}
+        self.moving: set[int] = set()
+        self.queued: set[int] = set()
+        self.by_source_tx: dict[bytes, set[int]] = {}
         self.forged_jobs: list[TransferJob] = []
         self.journal: list[str] = []
         self.inbox: list = []
@@ -152,7 +165,9 @@ class BridgeNode:
         }
         self._job_blobs: dict[int, bytes] = {}
         self._forged_blobs: list[bytes] = []
-        self._live: dict[int, None] = {}  # ids of the live real jobs, in order
+        # live real ids, in order -> source tx hash if parked, else None
+        self._live: dict[int, bytes | None] = {}
+        self._stalled: dict[int, str] = {}  # stalled real ids -> stall reason
 
     # -- journal / persistence ----------------------------------------------
 
@@ -169,29 +184,31 @@ class BridgeNode:
             f"{tick} | {job.transfer_id} | {from_state} -> {to_state} | {detail}")
         self._persist(job)
 
+    def _parked(self, job: TransferJob) -> bool:
+        return (job.state == "submitting" and not job.submitted_tx
+                and job.transfer_id != self.config.censor_transfer_id)
+
     def _track(self, job: TransferJob) -> None:
-        """File ``job`` in ``moving``, ``queued`` and ``by_source_tx`` after
-        its state or ``submitted_tx`` changed; the only writer of the three."""
-        src_hash = job.transfer.source_transaction_hash
-        carriers = [j for j in self.by_source_tx.pop(src_hash, ())
-                    if j is not job]
-        if job.state == "submitting":
-            carriers.append(job)
-        if carriers:
-            self.by_source_tx[src_hash] = carriers
+        """File a real ``job``'s id in ``moving``, ``queued`` and
+        ``by_source_tx`` after its state or ``submitted_tx`` changed; besides
+        ``restore``, the only writer of the three. Forged jobs are in none."""
         if job.forged:
             return
-        tid = job.transfer_id
-        self.moving.pop(tid, None)
-        self.queued.pop(tid, None)
-        if job.state in FINAL_STATES:
-            return
-        parked = (job.state == "submitting" and not job.submitted_tx
-                  and tid != self.config.censor_transfer_id)
-        (self.queued if parked else self.moving)[tid] = job
+        tid, src_hash = job.transfer_id, job.transfer.source_transaction_hash
+        self.moving.discard(tid)
+        self.queued.discard(tid)
+        carriers = self.by_source_tx.pop(src_hash, set())
+        carriers.discard(tid)
+        if job.state == "submitting":
+            carriers.add(tid)
+        if carriers:
+            self.by_source_tx[src_hash] = carriers
+        if job.state not in FINAL_STATES:
+            (self.queued if self._parked(job) else self.moving).add(tid)
 
     def _persist(self, job: TransferJob) -> None:
-        """Write-through store: only the changed job is re-serialized."""
+        """Write-through store: only the changed job is re-serialized, and
+        the live and stalled indexes are updated from it."""
         if job.forged:
             self._forged_blobs = [pickle.dumps(j) for j in self.forged_jobs]
             return
@@ -199,8 +216,11 @@ class BridgeNode:
         self._job_blobs[tid] = pickle.dumps(job)
         if job.state in FINAL_STATES:
             self._live.pop(tid, None)
+            if job.state == "stalled":
+                self._stalled[tid] = job.stall_reason
         else:
-            self._live[tid] = None
+            self._live[tid] = (job.transfer.source_transaction_hash
+                               if self._parked(job) else None)
 
     @property
     def persisted(self) -> bytes:
@@ -213,7 +233,8 @@ class BridgeNode:
             "dest_cursor": self.dest_cursor,
             "alarms": self.alarms,
             "paused": self.paused,
-            "live": list(self._live),
+            "live": list(self._live.items()),
+            "stalled": list(self._stalled.items()),
         })
 
     @classmethod
@@ -224,16 +245,18 @@ class BridgeNode:
 
         In-flight submissions are resubmitted; the destination adapter's
         processed map turns duplicates into AlreadyProcessed events. The
-        persisted blobs become the new store as they are; only the live and
-        forged jobs are decoded, and only a job whose sent tx or signing
-        request is reset here is re-pickled. Final jobs stay blobs in
-        ``jobs`` until read.
+        persisted blobs become the new store as they are. Parked jobs are
+        filed from the live index and stay blobs in ``jobs``, as final jobs
+        do, until read; only the other live jobs and the forged jobs are
+        decoded, and only a job whose sent tx or signing request is reset
+        here is re-pickled.
         """
         node = cls(config, source_view, dest_view, dest_chain, post)
         doc = pickle.loads(persisted)
         node._job_blobs = doc["jobs"]
         node._forged_blobs = doc["forged_jobs"]
-        node._live = dict.fromkeys(doc["live"])
+        node._live = dict(doc["live"])
+        node._stalled = dict(doc["stalled"])
         node.jobs = _JobTable(node._job_blobs)
         node.forged_jobs = [pickle.loads(blob) for blob in node._forged_blobs]
         node.journal = doc["journal"]
@@ -241,9 +264,16 @@ class BridgeNode:
         node.dest_cursor = doc["dest_cursor"]
         node.alarms = doc["alarms"]
         node.paused = doc["paused"]
-        for job in [node.jobs[tid] for tid in node._live] + node.forged_jobs:
+        acting = []
+        for tid, src_hash in node._live.items():
+            if src_hash is None:
+                acting.append(node.jobs[tid])
+            else:  # parked: only the queue head can act, so decode it later
+                node.queued.add(tid)
+                node.by_source_tx.setdefault(src_hash, set()).add(tid)
+        for job in acting + node.forged_jobs:
             if job.state in FINAL_STATES:
-                continue  # a forged job; in none of the tables
+                continue  # a final forged job
             sent = job.state == "submitting" and job.submitted_tx
             asked = (job.state == "collectingSignatures"
                      and job.request_tick != -1)
@@ -257,8 +287,12 @@ class BridgeNode:
                 node._persist(job)
         return node
 
-    def _all_jobs(self):
-        return list(self.jobs.values()) + self.forged_jobs
+    def stalls(self) -> list[list]:
+        """``[transfer_id, stall_reason]`` of each stalled real job, read
+        from the stalled index, then of each stalled forged job."""
+        return [[tid, reason] for tid, reason in self._stalled.items()] + [
+            [j.transfer_id, j.stall_reason] for j in self.forged_jobs
+            if j.state == "stalled"]
 
     # -- operator controls ---------------------------------------------------
 
@@ -306,14 +340,15 @@ class BridgeNode:
         self._scan_dest(tick)
         self._collect_responses(tick)
         # in id order: ``blocked`` holds once an earlier id is still in progress
-        order = sorted(self.moving.items())
+        order = sorted(self.moving)
         head = min(self.queued) if self.queued else None
         if head is not None:
-            insort(order, (head, self.queued[head]))
+            insort(order, head)
         blocked = False
-        for tid, job in order:
+        for tid in order:
             if tid == head and blocked:
                 continue  # it would wait, and it blocks later ids either way
+            job = self.jobs[tid]
             self._advance(job, tick, blocked)
             blocked = blocked or job.state in IN_PROGRESS
         for job in self.forged_jobs:
@@ -366,13 +401,15 @@ class BridgeNode:
                                      "already processed on resubmission")
 
     def _carriers(self, src_hash: bytes) -> list[TransferJob]:
-        """The jobs in ``submitting`` that carry ``src_hash``, real ones
-        first, each group in the order of its job table."""
-        jobs = self.by_source_tx.get(src_hash, [])
-        if len(jobs) > 1:
-            rank = {id(j): i for i, j in enumerate(self._all_jobs())}
-            jobs = sorted(jobs, key=lambda j: rank[id(j)])
-        return list(jobs)
+        """The jobs in ``submitting`` that carry ``src_hash``: the real ones
+        in the order of ``jobs``, then the forged ones in list order."""
+        tids = self.by_source_tx.get(src_hash, ())
+        if len(tids) > 1:
+            rank = {tid: i for i, tid in enumerate(self.jobs)}
+            tids = sorted(tids, key=rank.__getitem__)
+        return [self.jobs[tid] for tid in tids] + [
+            j for j in self.forged_jobs if j.state == "submitting"
+            and j.transfer.source_transaction_hash == src_hash]
 
     def _collect_responses(self, tick: int) -> None:
         inbox, self.inbox = self.inbox, []

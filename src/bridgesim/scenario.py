@@ -598,10 +598,7 @@ class World:
             delivered.append([tid, event_attr(ev, "sourceTxHash").hex(),
                               ev.block_number])
             delivered_ids.add(tid)
-        stalls = []
-        for job in self.bridge._all_jobs():
-            if job.state == "stalled":
-                stalls.append([job.transfer_id, job.stall_reason])
+        stalls = self.bridge.stalls()
         stalled_ids = {s[0] for s in stalls}
         for tid in requested:
             if tid not in delivered_ids and tid not in stalled_ids:

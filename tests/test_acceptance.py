@@ -324,7 +324,8 @@ class _SimulatedCrash(Exception):
 def _finished(world, count: int) -> bool:
     return (world.quiescent()
             and all(j.state in ("done", "stalled")
-                    for j in world.bridge._all_jobs())
+                    for j in [*world.bridge.jobs.values(),
+                              *world.bridge.forged_jobs])
             and not world.bus and len(world.bridge.jobs) == count
             and not world.source.pending)
 

@@ -26,6 +26,33 @@ def run(config, on_tick=None):
     return world, report
 
 
+def restore_pickle_calls(monkeypatch, world):
+    """The ``pickle.loads``/``dumps`` calls of restoring ``world``'s bridge
+    from its persisted store."""
+    bridge = world.bridge
+    persisted = bridge.persisted
+    calls = Counter()
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(pickle, name)(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(bridge_module, "pickle", SimpleNamespace(
+            loads=counted("loads"), dumps=counted("dumps")))
+        BridgeNode.restore(persisted, world.bridge_config, bridge.source_view,
+                           bridge.dest_view, world.dest, world.post)
+    return calls
+
+
+def tx_out(world):
+    """Whether job 0 has a tx out."""
+    job = world.bridge.jobs.get(0)
+    return job is not None and bool(job.submitted_tx)
+
+
 class TestPipeline:
     def test_waits_for_source_finality(self):
         config = ScenarioConfig(workload=[transfer_action(0, 1)])
@@ -230,7 +257,8 @@ class TestCrashRecovery:
             assert tid in new.jobs
             assert new.jobs[tid] is new.jobs.get(tid)
             assert new.jobs[tid] == job
-        assert new._all_jobs() == [*new.jobs.values(), *new.forged_jobs]
+        assert [id(j) for j in new.jobs.values()] == \
+            [id(new.jobs[t]) for t in new.jobs]
         report = world.run()
         assert [d[0] for d in report.delivered] == list(range(12))
 
@@ -286,6 +314,43 @@ class TestCrashRecovery:
             checked[all(j.state in FINAL_STATES for j in jobs)] += 1
         assert checked[False] and checked[True]  # with live jobs, and without
 
+    def test_old_tx_lands_after_two_restarts_in_a_row(self):
+        workload = [transfer_action(i, 1) for i in range(3)]
+        probe = World(ScenarioConfig(workload=workload))
+        while not tx_out(probe):
+            probe.step()
+        sent = probe.tick
+        # restart at the end of the tick that sent job 0's tx, and again at
+        # the start of the next one, before that tick mines the tx
+        world = World(ScenarioConfig(workload=workload + [
+            {"tick": sent + 1, "action": "bridge_restart"}]))
+        filed = []
+
+        def restart():
+            World.restart_bridge(world)
+            bridge = world.bridge
+            filed.append((0 in bridge.queued,
+                          type(bridge.jobs.data[0]) is bytes))
+
+        world.restart_bridge = restart
+        while world.tick < sent:
+            world.step()
+        assert tx_out(world)
+        world.restart_bridge()
+        report = world.run()
+        # the first restart decodes and resets job 0; the second files it
+        # from the live index undecoded, and the old tx lands after that
+        assert filed == [(True, False), (True, True)]
+        assert [d[0] for d in report.delivered] == [0, 1, 2]
+        processed = world.dest.get_events(
+            world.adapters["dest"].address, "Processed",
+            0, world.dest.head_number())
+        assert len(processed) == 3
+        moves = [line.split(" | ")[2] for line in world.bridge.journal
+                 if line.split(" | ")[1] == "0"]
+        assert moves.count("submitting -> submitting") == 1  # never resent
+        assert moves.count("submitting -> awaitingDestFinality") == 1
+
     def test_journal_survives_restart(self):
         config = ScenarioConfig(
             workload=[transfer_action(0, 1),
@@ -336,32 +401,39 @@ class TestWork:
         assert large <= 2.2 * small, (small, large)
 
     def test_restore_work_does_not_grow_with_history(self, monkeypatch):
-        def restore_pickle_calls(count):
+        def calls(count):
             world, report = run(ScenarioConfig(
                 workload=[transfer_action(i, 1 + i // 5)
                           for i in range(count)]))
             assert [d[0] for d in report.delivered] == list(range(count))
-            bridge = world.bridge
-            persisted = bridge.persisted
-            calls = Counter()
-
-            def counted(name):
-                def call(*args, **kwargs):
-                    calls[name] += 1
-                    return getattr(pickle, name)(*args, **kwargs)
-                return call
-
-            with monkeypatch.context() as m:
-                m.setattr(bridge_module, "pickle", SimpleNamespace(
-                    loads=counted("loads"), dumps=counted("dumps")))
-                BridgeNode.restore(persisted, world.bridge_config,
-                                   bridge.source_view, bridge.dest_view,
-                                   world.dest, world.post)
-            return calls
+            return restore_pickle_calls(monkeypatch, world)
 
         # every job is final: the store document is the only thing decoded
-        assert restore_pickle_calls(100) == restore_pickle_calls(200) == \
-            Counter(loads=1)
+        assert calls(100) == calls(200) == Counter(loads=1)
+
+    def test_restore_work_does_not_grow_with_the_backlog(self, monkeypatch):
+        forge = {"tick": 1, "action": "bridge_forge", "transfer_id": 0,
+                 "recipient": "token",
+                 "call": {"signature": "mint(address,uint128)",
+                          "args": [{"account": "attacker"}, 10**6]}}
+
+        def loads(count):
+            world = World(ScenarioConfig(
+                workload=[transfer_action(i, 1) for i in range(count)]
+                + [forge]))
+            while not tx_out(world):
+                world.step()
+            # every later job has its signatures and waits behind job 0
+            assert world.bridge.queued == set(range(1, count))
+            doc = pickle.loads(world.bridge.persisted)
+            acting = sum(src_hash is None for _, src_hash in doc["live"])
+            assert acting == len(doc["forged_jobs"]) == 1
+            calls = restore_pickle_calls(monkeypatch, world)
+            # the store document, job 0 and the forged job; no parked job
+            assert calls["loads"] == 1 + acting + len(doc["forged_jobs"])
+            return calls["loads"]
+
+        assert loads(10) == loads(20) == 3
 
     def test_job_tables_match_a_rebuild_every_tick(self):
         workload = [transfer_action(i, 1 + i // 2) for i in range(40)]
@@ -380,21 +452,19 @@ class TestWork:
 
         def check(world, tick):
             bridge = world.bridge
-            moving, queued, carriers = {}, {}, {}
+            moving, queued, carriers = set(), set(), {}
             for job in bridge.jobs.values():
                 if job.state in FINAL_STATES:
                     continue
                 parked = (job.state == "submitting" and not job.submitted_tx
                           and job.transfer_id != config.censor_transfer_id)
-                (queued if parked else moving)[job.transfer_id] = id(job)
-            for job in [*bridge.jobs.values(), *bridge.forged_jobs]:
+                (queued if parked else moving).add(job.transfer_id)
                 if job.state == "submitting":
                     carriers.setdefault(job.transfer.source_transaction_hash,
-                                        set()).add(id(job))
-            assert {t: id(j) for t, j in bridge.moving.items()} == moving
-            assert {t: id(j) for t, j in bridge.queued.items()} == queued
-            assert {h: {id(j) for j in js}
-                    for h, js in bridge.by_source_tx.items()} == carriers
+                                        set()).add(job.transfer_id)
+            assert bridge.moving == moving
+            assert bridge.queued == queued
+            assert bridge.by_source_tx == carriers
             if queued:
                 queued_ticks.append(tick)
 
