@@ -18,7 +18,9 @@ jobs that are neither `done` nor `stalled` are split in two id sets, kept by
   the censored id. Each waits for every earlier id, and the lowest queued id
   stays in progress, so only that head can act in a tick, and only when no
   earlier moving job blocks it. Each step visits the head at its id
-  position if it is not blocked, and skips the rest of the queue.
+  position if it is not blocked, and skips the rest of the queue. A heap of
+  the queued ids (`_heads`; an id that left the queue is dropped when it
+  surfaces) finds the head in O(log n).
 - `moving` holds every other live job; each step visits them all in id
   order. A censored job stays here, so it stalls at its first visit even
   behind earlier ids.
@@ -53,6 +55,7 @@ import pickle
 from bisect import insort
 from collections import UserDict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .adapter import (
     encode_process_transfer,
@@ -148,6 +151,7 @@ class BridgeNode:
         self.jobs: dict[int, TransferJob] = {}  # a _JobTable once restored
         self.moving: set[int] = set()
         self.queued: set[int] = set()
+        self._heads: list[int] = []  # a heap of the queued ids, and stale ones
         self.by_source_tx: dict[bytes, set[int]] = {}
         self.forged_jobs: list[TransferJob] = []
         self.journal: list[str] = []
@@ -189,22 +193,28 @@ class BridgeNode:
                 and job.transfer_id != self.config.censor_transfer_id)
 
     def _track(self, job: TransferJob) -> None:
-        """File a real ``job``'s id in ``moving``, ``queued`` and
-        ``by_source_tx`` after its state or ``submitted_tx`` changed; besides
-        ``restore``, the only writer of the three. Forged jobs are in none."""
+        """File a real ``job``'s id in ``moving``, ``queued`` (and its heap)
+        and ``by_source_tx`` after its state or ``submitted_tx`` changed;
+        besides ``restore``, the only writer of the three. Forged jobs are in
+        none."""
         if job.forged:
             return
         tid, src_hash = job.transfer_id, job.transfer.source_transaction_hash
         self.moving.discard(tid)
-        self.queued.discard(tid)
         carriers = self.by_source_tx.pop(src_hash, set())
         carriers.discard(tid)
         if job.state == "submitting":
             carriers.add(tid)
         if carriers:
             self.by_source_tx[src_hash] = carriers
-        if job.state not in FINAL_STATES:
-            (self.queued if self._parked(job) else self.moving).add(tid)
+        if self._parked(job):
+            if tid not in self.queued:
+                self.queued.add(tid)
+                heappush(self._heads, tid)
+        else:
+            self.queued.discard(tid)
+            if job.state not in FINAL_STATES:
+                self.moving.add(tid)
 
     def _persist(self, job: TransferJob) -> None:
         """Write-through store: only the changed job is re-serialized, and
@@ -271,6 +281,8 @@ class BridgeNode:
             else:  # parked: only the queue head can act, so decode it later
                 node.queued.add(tid)
                 node.by_source_tx.setdefault(src_hash, set()).add(tid)
+        node._heads = list(node.queued)
+        heapify(node._heads)
         for job in acting + node.forged_jobs:
             if job.state in FINAL_STATES:
                 continue  # a final forged job
@@ -341,7 +353,9 @@ class BridgeNode:
         self._collect_responses(tick)
         # in id order: ``blocked`` holds once an earlier id is still in progress
         order = sorted(self.moving)
-        head = min(self.queued) if self.queued else None
+        while self._heads and self._heads[0] not in self.queued:
+            heappop(self._heads)  # an id that left the queue since its push
+        head = self._heads[0] if self._heads else None
         if head is not None:
             insort(order, head)
         blocked = False

@@ -11,6 +11,7 @@ Three subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,18 +24,18 @@ def _cmd_run(args) -> int:
     try:
         with open(args.scenario) as fh:
             config = ScenarioConfig.from_json(fh.read())
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
     except OSError as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, json.JSONDecodeError, TypeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"error: invalid scenario file: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.seed = args.seed
     try:
         world = World(config)
         report = world.run()
-    except ConfigError as exc:
+    except ConfigError as exc:  # a reorg deeper than the chain
         print(f"error: invalid scenario file: {exc}", file=sys.stderr)
         return 2
     text = report.to_text()

@@ -10,7 +10,12 @@ reports.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
+from math import inf
+from types import FunctionType
+from reprlib import repr as _brief
 
 from .adapter import (
     AdapterContract,
@@ -26,7 +31,6 @@ from .bridge import BridgeConfig, BridgeNode
 from .chain import (
     Chain,
     ChainConfig,
-    ChainError,
     ChainView,
     EventLog,
     InvalidReorg,
@@ -34,31 +38,248 @@ from .chain import (
     ViewCorruption,
 )
 from .codec import (
+    HASH_ALGS,
+    EncodingError,
     TransferMessage,
     blake2b256,
     compute_transfer_hash,
     encode_function_call,
     keygen,
+    parse_signature,
     sign,
 )
 from .contracts import MintableToken, RejectingContract, StorageContract
 from .oracle import causality_oracle
 from .signatory import BEHAVIOR_MODES, Signatory
 
-# integer scenario fields, each in [0, 2**64); the optional ones may be None
-_INT_FIELDS = ("seed", "transaction_fee", "rate_budget", "rate_window_ticks",
-               "sign_timeout_ticks", "max_retries", "liveness_timeout_ticks",
-               "max_ticks", "quorum_size")
-_OPTIONAL_INT_FIELDS = ("signatory_min_confirmations", "censor_transfer_id")
+# -- the scenario schema -------------------------------------------------------
+# A spec is a type (that exact type), a range (an integer in it), a pattern (a
+# string it matches), a tuple (any of its items: a string or None matches
+# itself, any other item is a spec), [spec] or [spec, lengths] (a list), a
+# dict (an object, each key -> (spec, default), the default ... if the key is
+# required), a Pick (an object whose tag key picks its dict), or a function
+# (value, config) -> error or None, named by its docstring.
+# `ScenarioConfig` checks itself against `FIELDS`.
+
+ATTACKERS = 4  # attacker keypairs a scenario can sign with
+U16, U64, U128, U256 = (range(1 << n) for n in (16, 64, 128, 256))
+CHAIN = ("source", "dest")
+_REQUIRED: dict[int, set] = {}  # memo: id of a dict spec -> its required keys
 
 
-def _uint(name: str, value, bits: int = 64) -> int:
-    """``value`` if it is an integer in [0, 2**bits), else a ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or not 0 <= value < 1 << bits):
-        raise ConfigError(
-            f"{name} must be an integer in [0, 2**{bits}), not {value!r}")
-    return value
+@dataclass(frozen=True)
+class Pick:
+    """An object whose ``tag`` key (``default`` if absent) picks its dict."""
+    tag: str
+    specs: dict
+    default: str | None = None
+
+
+def _name(spec) -> str:
+    t = type(spec)
+    if t is range:
+        top = spec.stop.bit_length() - 1
+        return (f"an integer in [{spec.start}, "
+                f"{f'2**{top}' if top > 8 else spec.stop})")
+    if t is list:
+        return f"a list, each item {_name(spec[0])}" + (
+            f", its length {_name(spec[1])}" if spec[1:] else "")
+    if t is dict:
+        return "{" + ", ".join(f'"{k}": {_name(s)}' for k, (s, _) in
+                               spec.items()) + "}"
+    return (" or ".join(json.dumps(x) if x is None or type(x) is str
+                        else _name(x) for x in spec) if t is tuple
+            else f"a string matching {spec.pattern}" if t is re.Pattern
+            else "an object" if t is Pick else
+            {str: "a string", bool: "true or false"}.get(spec, spec.__doc__))
+
+
+def _error(spec, v, cfg) -> str | None:
+    """None if ``v`` fits ``spec``, else what is wrong, worded to follow the
+    path to ``v``: " must be ...", ".gas must be ...", "[2] must be ..."."""
+    t = type(spec)
+    if t is FunctionType:
+        return spec(v, cfg)
+    while t is Pick and type(v) is dict:
+        tag = v.get(spec.tag, spec.default)
+        if type(tag) is not str or tag not in spec.specs:
+            return f" lacks key {spec.tag!r}" if tag is None else (
+                f".{spec.tag} must be one of {', '.join(spec.specs)}, "
+                f"not {_brief(tag)}")
+        spec = spec.specs[tag]
+        t = type(spec)
+    if t is dict and type(v) is dict:
+        for key, x in v.items():
+            if (entry := spec.get(key)) is None:
+                return (f" has unknown key {_brief(key)} "
+                        f"(known: {', '.join(spec)})")
+            s = entry[0]
+            if type(x) is s or type(s) is range and type(x) is int and x in s:
+                continue  # the common cases, checked without a call
+            if err := _error(s, x, cfg):
+                return f".{key}{err}"
+        if (required := _REQUIRED.get(id(spec))) is None:
+            required = _REQUIRED[id(spec)] = {
+                k for k, (_, default) in spec.items() if default is ...}
+        return None if v.keys() >= required else (
+            f" lacks key {min(required - v.keys())!r}")
+    if t is list and type(v) is list and len(v) in (
+            spec[1] if len(spec) > 1 else U64):
+        for i, x in enumerate(v):
+            if err := _error(spec[0], x, cfg):
+                return f"[{i}]{err}"
+        return None
+    if not (type(v) is spec or t is range and type(v) is int and v in spec
+            or t is re.Pattern and type(v) is str and spec.fullmatch(v)
+            or t is tuple and any(type(x) is type(v) and x == v
+                                  if x is None or type(x) is str
+                                  else not _error(x, v, cfg) for x in spec)):
+        return f" must be {_name(spec)}, not {_brief(v)}"
+
+
+def _with_defaults(spec, v: dict) -> dict:
+    """``v`` with each key it omits set to its default in ``spec``."""
+    while type(spec) is Pick:
+        spec = spec.specs[v.get(spec.tag, spec.default)]
+    return {**{k: d for k, (_, d) in spec.items() if d is not ...}, **v}
+
+
+def _signatory(v, cfg):
+    """the index of a signatory"""
+    return _error(range(len(cfg.signatory_modes)), v, cfg)
+
+
+def _signatory_name(v, cfg):
+    '"signatory:<index>" of a signatory'
+    return _error(tuple(f"signatory:{i}" for i in range(
+        len(cfg.signatory_modes))), v, cfg)
+
+
+def _quorum(v, cfg):
+    """an integer from 1 to the number of signatories"""
+    return _error(range(1, len(cfg.signatory_modes) + 1), v, cfg)
+
+
+def _network_id(v, cfg):
+    """a non-empty string"""
+    if type(v) is not str or not v:
+        return f" must be {_network_id.__doc__}, not {_brief(v)}"
+
+
+def _config_change(v, cfg):
+    """[chain role, field], e.g. ["dest", "relayer"]"""
+    if not (type(v) is list and len(v) == 2 and v[0] in CHAIN
+            and type(v[1]) is str):
+        return f" must be {_config_change.__doc__}, not {_brief(v)}"
+
+
+@lru_cache(maxsize=256)
+def _arg_specs(signature: str) -> list:
+    return [{"address": ADDRESS, "uint64": U64, "uint128": U128}[t]
+            for t in parse_signature(signature)[1]]
+
+
+def _call(v, cfg):
+    """{"signature": "name(type,...)", "args": [...]}"""
+    if type(v) is not dict or len(v) != 2 or type(
+            sig := v.get("signature")) is not str or type(
+            args := v.get("args")) is not list:
+        return f" must be {_call.__doc__}, not {_brief(v)}"
+    try:
+        specs = _arg_specs(sig)
+    except EncodingError as e:
+        return f".signature: {e}"
+    if len(specs) != len(args):
+        return f".args must hold {len(specs)} values, not {_brief(args)}"
+    for i, (spec, x) in enumerate(zip(specs, args)):
+        if not (type(spec) is range and type(x) is int and x in spec) and (
+                err := _error(spec, x, cfg)):
+            return f".args[{i}]{err}"
+
+
+def _workload(v, cfg):
+    """a list of actions at ticks up to max_ticks; a reorg drops only the
+    labels of earlier request_transfer actions"""
+    if err := _error([ACTIONS], v, cfg):
+        return err
+    labels = {}  # label -> (tick, index) of its first request_transfer
+    for i, a in enumerate(v):
+        if a["tick"] > cfg.max_ticks:
+            return f"[{i}].tick must be at most max_ticks, not {a['tick']}"
+        if "label" in a:
+            labels[a["label"]] = min(labels.get(a["label"], (inf,)),
+                                     (a["tick"], i))
+    for i, a in enumerate(v):
+        for label in a.get("drop", ()):
+            if labels.get(label, (inf,)) > (a["tick"], i):
+                return (f"[{i}].drop names {label!r}, which no earlier "
+                        "request_transfer labels")
+
+
+def _action(**keys) -> dict:
+    return {"tick": (U64, ...), "action": (str, ...), **keys}
+
+
+ADDRESS = ({"account": (str, ...)},
+           {"hex": (re.compile("[0-9a-fA-F]{64}"), ...)})
+SIGNER = ({"signatory": (_signatory, ...)},
+          {"attacker": (range(ATTACKERS), ...)})
+FORGED = {"transfer_id": (U64, ...), "recipient": (str, "token"),
+          "call": (_call, ...), "gas": (U64, 21000)}
+CORRUPTION = Pick("kind", {
+    "none": {"kind": (("none",), "none")},
+    "substitute_block_hash": {"kind": (("substitute_block_hash",), ...),
+                              "block_number": (U64, ...)},
+    "fabricate_request": {
+        **FORGED, "kind": (("fabricate_request",), ...),
+        "block_number": (U64, ...), "chain": (CHAIN, "source"),
+        "recipient": (str, "storage")},
+}, default="none")
+ADMIN_VALUES = {
+    "relayer": ADDRESS, "remoteAdapterAddress": ADDRESS, "transactionFee": U64,
+    "authorizedSenders": {"accept_only": (bool, True),
+                          "senders": ([str, U16], ...)},
+    "signatories": {"keys": ([SIGNER, U16], ...), "quorum": (U16, ...)},
+}
+ACTIONS = Pick("action", {
+    "request_transfer": _action(  # value None: the scenario's transaction_fee
+        chain=(CHAIN, "source"), sender=(str, "alice"),
+        recipient=(str, "storage"), call=(_call, ...), gas=(U64, 21000),
+        value=(U256, None), label=(str, None)),
+    "inject_reorg": _action(chain=(CHAIN, "source"),
+                            depth=(range(1, 1 << 64), ...), drop=([str], ())),
+    "faulty_view": _action(
+        target=(("bridge", _signatory_name), ...), chain=(CHAIN, "source"),
+        corruption=(CORRUPTION, ...)),
+    "admin_set": Pick("field", {
+        name: _action(chain=(CHAIN, "dest"), caller=(str, "owner"),
+                      field=((name,), ...), value=(spec, ...))
+        for name, spec in ADMIN_VALUES.items()}),
+    "pause": _action(), "resume": _action(), "bridge_restart": _action(),
+    "bridge_replay": _action(transfer_id=(U64, ...)),
+    "bridge_forge": _action(**FORGED),
+    "bridge_flood": _action(count=(U64, ...)),
+    "direct_process_transfer": _action(  # caller "relayer": the relay's key
+        **FORGED, attacker_signers=([range(ATTACKERS)], (0, 1)),
+        caller=(str, "attacker")),
+})
+CHAIN_CONFIG = {"network_id": (_network_id, ...), "block_time_ticks": (
+    range(1, 1 << 64), 1), "hash_alg": (tuple(HASH_ALGS), "keccak256"),
+    "finality_depth": (U64, 6)}
+FIELDS = {  # in checking order: a check may read the fields before it
+    **dict.fromkeys(("seed", "max_ticks", "transaction_fee", "rate_budget",
+                     "rate_window_ticks", "sign_timeout_ticks", "max_retries",
+                     "liveness_timeout_ticks"), U64),
+    "source": CHAIN_CONFIG, "dest": CHAIN_CONFIG,
+    "accept_only_authorized": bool, "monitor_auto_pause": bool,
+    "authorized_senders": [str],
+    "signatory_modes": [BEHAVIOR_MODES, range(1, 1 << 64)],
+    "quorum_size": (None, _quorum), "signatory_min_confirmations": (None, U64),
+    "censor_transfer_id": (None, U64),
+    "reorg_response": ("pause", "retry", "continue"),
+    "expected_config_changes": [_config_change],
+    "workload": _workload,
+}
 
 
 def account_address(name: str) -> bytes:
@@ -96,56 +317,29 @@ class ScenarioConfig:
     max_ticks: int = 2000
 
     def __post_init__(self):
-        n = len(self.signatory_modes)
-        if n < 1:
-            raise ConfigError("at least one signatory required")
-        unknown = [m for m in self.signatory_modes if m not in BEHAVIOR_MODES]
-        if unknown:
-            raise ConfigError(f"unknown signatory modes: {unknown}")
-        for side in ("source", "dest"):
-            try:
-                ChainConfig(**getattr(self, side))
-            except (ChainError, TypeError) as e:
-                raise ConfigError(f"bad {side} chain: {e}") from None
+        """Check the whole scenario against `FIELDS`, the scenario schema."""
+        for name, spec in FIELDS.items():
+            if err := _error(spec, getattr(self, name), self):
+                raise ConfigError(name + err)
         if self.quorum_size is None:
-            self.quorum_size = default_quorum(n)
-        for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
-            if name in _INT_FIELDS or getattr(self, name) is not None:
-                _uint(name, getattr(self, name))
-        for name in ("accept_only_authorized", "monitor_auto_pause"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false")
-        if not all(isinstance(a, str) for a in self.authorized_senders):
-            raise ConfigError("authorized_senders must be account names")
-        if not 1 <= self.quorum_size <= n:
-            raise ConfigError("quorum out of bounds")
-        if self.reorg_response not in ("pause", "retry", "continue"):
-            raise ConfigError(f"bad reorg_response {self.reorg_response!r}")
-        for entry in self.expected_config_changes:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or entry[0] not in ("source", "dest")
-                    or not isinstance(entry[1], str)):
-                raise ConfigError("expected_config_changes entries are "
-                                  f"[source|dest, field], not {entry!r}")
-        for action in self.workload:
-            if not isinstance(action, dict):
-                raise ConfigError(f"workload entry is not an object: {action!r}")
-            if action.get("tick", -1) < 0 or action["tick"] > self.max_ticks:
-                raise ConfigError(f"workload tick out of range: {action}")
-            if "action" not in action:
-                raise ConfigError(f"workload entry missing action: {action}")
+            self.quorum_size = default_quorum(len(self.signatory_modes))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        if type(doc) is not dict:
+            raise ConfigError(f"a scenario is a JSON object, not {_brief(doc)}")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**doc)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ConfigError("the JSON nests too deeply") from None
+        return cls.from_dict(doc)
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=1, sort_keys=True)
@@ -193,7 +387,7 @@ class World:
         ]
         self.attacker_keys = [
             keygen(blake2b256(b"attacker:%d:" % i + seed_bytes))
-            for i in range(4)
+            for i in range(ATTACKERS)
         ]
 
         self.adapters = {}
@@ -307,53 +501,42 @@ class World:
     # -- workload actions ----------------------------------------------------
 
     def apply_action(self, action: dict) -> None:
-        """Run one workload action; an infeasible one raises ConfigError."""
+        """Run one workload action, its omitted keys set to their defaults.
+        The file was checked at load; a reorg deeper than the chain is known
+        only now, and raises ConfigError."""
         kind = action["action"]
-        where = f"workload action {kind!r} at tick {action['tick']}"
-        handler = getattr(self, f"_do_{kind}", None)
-        if handler is None:
-            raise ConfigError(f"unknown {where}")
         try:
-            handler(action)
-        except KeyError as e:
-            raise ConfigError(f"{where}: missing key or label {e}") from None
-        except (ValueError, TypeError, IndexError, OverflowError,
-                InvalidReorg) as e:
-            raise ConfigError(f"{where}: {e}") from None
-
-    def _resolve_arg(self, arg):
-        if isinstance(arg, dict):
-            if "account" in arg:
-                return account_address(arg["account"])
-            if "hex" in arg:
-                return bytes.fromhex(arg["hex"])
-            raise ConfigError(f"bad call argument {arg}")
-        return arg
+            getattr(self, f"_do_{kind}")(_with_defaults(ACTIONS, action))
+        except InvalidReorg as e:
+            raise ConfigError(f"workload action {kind!r} at tick "
+                              f"{action['tick']}: {e}") from None
 
     @staticmethod
-    def _gas(a: dict) -> int:
-        return _uint("gas", a.get("gas", 21000))
+    def _resolve_arg(arg):
+        """A call argument or address: {"account": name} or {"hex": digits}
+        become bytes, integers stay."""
+        if type(arg) is not dict:
+            return arg
+        if "account" in arg:
+            return account_address(arg["account"])
+        return bytes.fromhex(arg["hex"])
 
     def _encoded_call(self, call: dict) -> bytes:
         return encode_function_call(
             call["signature"], [self._resolve_arg(a) for a in call["args"]])
 
     def _do_request_transfer(self, a: dict) -> None:
-        """Check and queue one request; `_submit_requests` builds the tx."""
-        side = a.get("chain", "source")
-        chain, adapter = self.chains[side], self.adapters[side]
-        recipient_net = (self.dest if chain is self.source
+        """Queue one request; `_submit_requests` builds the tx."""
+        side = a["chain"]
+        recipient_net = (self.dest if side == "source"
                          else self.source).config.network_id
-        for key in ("sender", "recipient", "label"):
-            if not isinstance(a.get(key, ""), str):
-                raise ConfigError(f"{key} must be a string, not {a[key]!r}")
-        value = _uint("value", a.get("value", self.config.transaction_fee), 256)
-        recipient = contract_address(recipient_net, a.get("recipient", "storage"))
+        value = self.config.transaction_fee if a["value"] is None else a["value"]
         payload = encode_request_transfer(
-            recipient, self._encoded_call(a["call"]), self._gas(a))
+            contract_address(recipient_net, a["recipient"]),
+            self._encoded_call(a["call"]), a["gas"])
         self._requests.append(
-            (side, (account_address(a.get("sender", "alice")), adapter.address,
-                    payload, value), a.get("label")))
+            (side, (account_address(a["sender"]), self.adapters[side].address,
+                    payload, value), a["label"]))
 
     def _submit_requests(self) -> None:
         """Build and submit the queued requests in order, one batch per chain."""
@@ -370,12 +553,12 @@ class World:
                 self.labels[label] = tx.tx_hash
 
     def _do_inject_reorg(self, a: dict) -> None:
-        chain = self.chains[a.get("chain", "source")]
-        drop = {self.labels[label] for label in a.get("drop", [])}
-        chain.inject_reorg(a["depth"], drop)
+        drop = {self.labels[label] for label in a["drop"]}
+        self.chains[a["chain"]].inject_reorg(a["depth"], drop)
 
     def _corruption_from(self, spec: dict) -> ViewCorruption:
-        kind = spec.get("kind", "none")
+        spec = _with_defaults(CORRUPTION, spec)
+        kind = spec["kind"]
         if kind == "none":
             return ViewCorruption()
         if kind == "substitute_block_hash":
@@ -384,83 +567,68 @@ class World:
                 block_number=spec["block_number"],
                 fake_hash=blake2b256(b"substituted:%d" % spec["block_number"]),
             )
-        if kind == "fabricate_request":
-            chain = self.chains[spec.get("chain", "source")]
-            adapter = self.adapters[spec.get("chain", "source")]
-            call = self._encoded_call(spec["call"])
-            recipient = contract_address(self.dest.config.network_id,
-                                         spec.get("recipient", "storage"))
-            gas = self._gas(spec)
-            payload = encode_request_transfer(recipient, call, gas)
-            fake_tx = Transaction(
-                tx_hash=blake2b256(b"fabricated-tx:%d" % spec["transfer_id"]),
-                sender=account_address("attacker"),
-                recipient=adapter.address,
-                payload=payload,
-                value=self.config.transaction_fee,
-                seq=0,
-            )
-            fake_event = EventLog(
-                emitter=adapter.address,
-                name="BridgeTransferRequested",
-                attributes=request_attributes(spec["transfer_id"], recipient,
-                                              call, gas),
-                tx_hash=fake_tx.tx_hash,
-                block_number=spec["block_number"],
-            )
-            return ViewCorruption(
-                kind="fabricate_transfer",
-                block_number=spec["block_number"],
-                fake_hash=blake2b256(b"fabricated-block:%d" % spec["block_number"]),
-                fake_transaction=fake_tx,
-                fake_event=fake_event,
-            )
-        raise ConfigError(f"unknown corruption kind {kind!r}")
+        # fabricate_request
+        adapter = self.adapters[spec["chain"]]
+        call = self._encoded_call(spec["call"])
+        recipient = contract_address(self.dest.config.network_id,
+                                     spec["recipient"])
+        gas = spec["gas"]
+        payload = encode_request_transfer(recipient, call, gas)
+        fake_tx = Transaction(
+            tx_hash=blake2b256(b"fabricated-tx:%d" % spec["transfer_id"]),
+            sender=account_address("attacker"),
+            recipient=adapter.address,
+            payload=payload,
+            value=self.config.transaction_fee,
+            seq=0,
+        )
+        fake_event = EventLog(
+            emitter=adapter.address,
+            name="BridgeTransferRequested",
+            attributes=request_attributes(spec["transfer_id"], recipient,
+                                          call, gas),
+            tx_hash=fake_tx.tx_hash,
+            block_number=spec["block_number"],
+        )
+        return ViewCorruption(
+            kind="fabricate_transfer",
+            block_number=spec["block_number"],
+            fake_hash=blake2b256(b"fabricated-block:%d" % spec["block_number"]),
+            fake_transaction=fake_tx,
+            fake_event=fake_event,
+        )
 
     def _do_faulty_view(self, a: dict) -> None:
-        corruption = self._corruption_from(a["corruption"])
-        target = a["target"]
-        chain = self.chains[a.get("chain", "source")]
-        view = ChainView(chain, corruption)
-        if target == "bridge":
-            if a.get("chain", "source") == "source":
-                self.bridge.source_view = view
-            else:
-                self.bridge.dest_view = view
-        elif target.startswith("signatory:"):
-            self.signatories[int(target.split(":")[1])].chain_view = view
+        view = ChainView(self.chains[a["chain"]],
+                         self._corruption_from(a["corruption"]))
+        if a["target"] != "bridge":  # signatory:<index>
+            self.signatories[int(a["target"][10:])].chain_view = view
+        elif a["chain"] == "source":
+            self.bridge.source_view = view
         else:
-            raise ConfigError(f"unknown faulty_view target {target!r}")
+            self.bridge.dest_view = view
 
     def _admin_value(self, fieldname: str, value):
-        if fieldname in ("relayer", "remoteAdapterAddress"):
-            return self._resolve_arg(value)
         if fieldname == "transactionFee":
             return value
         if fieldname == "authorizedSenders":
-            return (value.get("accept_only", True),
+            value = _with_defaults(ADMIN_VALUES[fieldname], value)
+            return (value["accept_only"],
                     [account_address(n) for n in value["senders"]])
         if fieldname == "signatories":
-            keys = []
-            for k in value["keys"]:
-                if "signatory" in k:
-                    keys.append(self.signatory_keys[k["signatory"]].public_key)
-                elif "attacker" in k:
-                    keys.append(self.attacker_keys[k["attacker"]].public_key)
-                else:
-                    raise ConfigError(f"bad signatory key spec {k}")
-            return keys, value["quorum"]
-        raise ConfigError(f"unknown admin field {fieldname!r}")
+            return [(self.signatory_keys[k["signatory"]] if "signatory" in k
+                     else self.attacker_keys[k["attacker"]]).public_key
+                    for k in value["keys"]], value["quorum"]
+        return self._resolve_arg(value)  # relayer, remoteAdapterAddress
 
     def _do_admin_set(self, a: dict) -> None:
-        chain_name = a.get("chain", "dest")
-        chain = self.chains[chain_name]
-        caller = (self.owner if a.get("caller", "owner") == "owner"
+        chain = self.chains[a["chain"]]
+        caller = (self.owner if a["caller"] == "owner"
                   else account_address(a["caller"]))
         payload = encode_admin_set(a["field"],
                                    self._admin_value(a["field"], a["value"]))
         tx = chain.make_transaction(sender=caller,
-                                    recipient=self.adapters[chain_name].address,
+                                    recipient=self.adapters[a["chain"]].address,
                                     payload=payload)
         chain.submit_transaction(tx)
 
@@ -475,19 +643,17 @@ class World:
 
     def _forged_message(self, a: dict) -> TransferMessage:
         recipient = contract_address(self.dest.config.network_id,
-                                     a.get("recipient", "token"))
-        m = TransferMessage(
+                                     a["recipient"])
+        return TransferMessage(
             source_transaction_hash=blake2b256(
                 b"forged:%d" % a["transfer_id"]),
             source_adapter_address=self.adapters["source"].address,
             recipient_contract=recipient,
             encoded_function_call=self._encoded_call(a["call"]),
-            gas=self._gas(a),
+            gas=a["gas"],
             source_transfer_id=a["transfer_id"],
             source_network_id=self.source.config.network_id,
         )
-        m.validate()
-        return m
 
     def _do_bridge_forge(self, a: dict) -> None:
         m = self._forged_message(a)
@@ -504,17 +670,11 @@ class World:
         """An attacker with adapter control submits processTransfer directly."""
         m = self._forged_message(a)
         digest = compute_transfer_hash(m, self.dest.config.hash_alg)
-        entries = []
-        for idx in a.get("attacker_signers", [0, 1]):
-            kp = self.attacker_keys[idx]
-            entries.append((kp.public_key, sign(kp, digest)))
-        caller_name = a.get("caller", "attacker")
-        if caller_name == "relayer":
-            caller = self.relayer.public_key
-        elif caller_name == "owner":
-            caller = self.owner
-        else:
-            caller = account_address(caller_name)
+        entries = [(self.attacker_keys[i].public_key,
+                    sign(self.attacker_keys[i], digest))
+                   for i in a["attacker_signers"]]
+        caller = {"relayer": self.relayer.public_key, "owner": self.owner}.get(
+            a["caller"]) or account_address(a["caller"])
         tx = self.dest.make_transaction(
             sender=caller,
             recipient=self.adapters["dest"].address,

@@ -400,6 +400,34 @@ class TestWork:
         small, large = visits(100), visits(200)
         assert large <= 2.2 * small, (small, large)
 
+    def test_queue_head_work_grows_linearly_with_transfers(self):
+        class CountingSet(set):
+            """Counts the ids that a scan or a membership test touches."""
+            touched = 0
+
+            def __iter__(self):
+                for tid in set.__iter__(self):
+                    self.touched += 1
+                    yield tid
+
+            def __contains__(self, tid):
+                self.touched += 1
+                return set.__contains__(self, tid)
+
+        def touched(count):
+            world = World(ScenarioConfig(
+                workload=[transfer_action(i, 1 + i // 5)
+                          for i in range(count)]))
+            world.bridge.queued = queued = CountingSet()
+            report = world.run()
+            assert [d[0] for d in report.delivered] == list(range(count))
+            assert queued.touched > 0
+            return queued.touched
+
+        # the backlog grows with n: a scan of it at every step is quadratic
+        small, large = touched(100), touched(200)
+        assert large <= 2.2 * small, (small, large)
+
     def test_restore_work_does_not_grow_with_history(self, monkeypatch):
         def calls(count):
             world, report = run(ScenarioConfig(

@@ -94,6 +94,22 @@ class TestCausalityOracle:
         assert violations[0].reason == "noSourceRequest"
         assert violations[0].transfer_id == 0
 
+    def test_canonical_tx_without_request_is_no_source_request(self):
+        # a quorum-signed processTransfer cites a canonical source tx that
+        # is a plain contract call: the adapter never saw a request
+        source, dest = build_pair()
+        tx = source.make_transaction(
+            sender=ALICE, recipient=STORE, value=3,
+            payload=encode_function_call("setValue(uint128)", [5]))
+        source.submit_transaction(tx)
+        source.mine_block(tick=1)
+        assert source.get_receipt(tx.tx_hash).status == "ok"
+        assert source.get_transaction(tx.tx_hash) is not None  # canonical
+        process_on_dest(dest, message_for(tx))
+        violations = audit(source, dest)
+        assert [(v.transfer_id, v.reason) for v in violations] == [
+            (0, "noSourceRequest")]
+
     def test_payload_mismatch(self):
         source, dest = build_pair()
         tx = request_on_source(source, arg=5)

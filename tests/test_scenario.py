@@ -1,15 +1,33 @@
 """Scenario engine, report classification, threat matrix, CLI."""
 
+import hashlib
 import json
+import pathlib
 from collections import Counter
+from importlib.resources import as_file
 
 import pytest
 
-from bridgesim import ConfigError, ScenarioConfig, World, codec, run_scenario
+from bridgesim import (
+    ConfigError,
+    ScenarioConfig,
+    World,
+    codec,
+    run_scenario,
+    scenario,
+)
 from bridgesim.adapter import encode_request_transfer
 from bridgesim.cli import main as cli_main
-from bridgesim.scenario import account_address, contract_address
-from bridgesim.suite import SUITE
+from bridgesim.scenario import (
+    ACTIONS,
+    CORRUPTION,
+    Pick,
+    account_address,
+    contract_address,
+)
+from bridgesim.suite import SUITE, THREATS
+
+from test_golden import SUITE_GOLDEN
 
 
 def simple_workload(count=3):
@@ -53,11 +71,37 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 ScenarioConfig(expected_config_changes=[entry])
 
-    def test_unknown_workload_action_fails_at_runtime(self):
-        config = ScenarioConfig(
-            workload=[{"tick": 1, "action": "summon_dragon"}], max_ticks=5)
-        with pytest.raises(ConfigError):
-            run_scenario(config)
+    def test_unknown_workload_action_fails_at_load(self):
+        with pytest.raises(ConfigError, match="summon_dragon"):
+            ScenarioConfig(workload=[{"tick": 1, "action": "summon_dragon"}],
+                           max_ticks=5)
+
+    def test_omitted_keys_take_the_schema_defaults(self):
+        world = World(ScenarioConfig(workload=simple_workload(1)))
+        seen = []
+        world._do_request_transfer = seen.append
+        world.apply_action({"tick": 1, "action": "request_transfer",
+                            "call": {"signature": "setValue(uint128)",
+                                     "args": [1]}})
+        assert seen == [{"tick": 1, "action": "request_transfer",
+                         "chain": "source", "sender": "alice",
+                         "recipient": "storage", "gas": 21000, "value": None,
+                         "label": None,
+                         "call": {"signature": "setValue(uint128)",
+                                  "args": [1]}}]
+
+    def test_handler_type_error_is_not_a_scenario_error(self, tmp_path,
+                                                       monkeypatch):
+        # a bug in a handler must surface as itself, not as a bad file
+        def broken(self, a):
+            raise TypeError("a bug in a handler")
+
+        monkeypatch.setattr(World, "_do_pause", broken)
+        path = tmp_path / "pause.json"
+        path.write_text(json.dumps(
+            {"workload": [{"tick": 1, "action": "pause"}], "max_ticks": 5}))
+        with pytest.raises(TypeError, match="a bug in a handler"):
+            cli_main(["run", str(path)])
 
 
 class TestDeterminism:
@@ -79,6 +123,43 @@ class TestDeterminism:
                                             workload=simple_workload()))
         assert base.classification == other.classification == "low"
         assert [d[0] for d in base.delivered] == [d[0] for d in other.delivered]
+
+
+class TestOperatorPause:
+    def test_jobs_wait_while_paused_and_all_deliver_after_resume(self):
+        workload = simple_workload(5) + [{"tick": 3, "action": "pause"},
+                                         {"tick": 60, "action": "resume"}]
+        config_doc = ScenarioConfig(workload=workload,
+                                    max_ticks=400).to_json()
+
+        def one_run():
+            world = World(ScenarioConfig.from_json(config_doc))
+            paused_states = []
+
+            def on_tick(w, tick):
+                if 3 <= tick < 60:
+                    assert w.bridge.paused
+                    paused_states.append(
+                        sorted((tid, j.state)
+                               for tid, j in w.bridge.jobs.items()))
+
+            report = world.run(on_tick)
+            return world, report, paused_states
+
+        world, report, paused_states = one_run()
+        # nothing moves while the relay is paused: no job changes state,
+        # no journal line is written and nothing reaches the destination
+        assert paused_states and all(s == paused_states[0]
+                                     for s in paused_states)
+        assert not any(3 <= int(line.split(" | ")[0]) < 60
+                       for line in world.bridge.journal)
+        assert min(b.tick for b in world.dest.blocks if b.transactions) >= 60
+        # after resume every id is delivered, once and in order
+        assert [d[0] for d in report.delivered] == [0, 1, 2, 3, 4]
+        assert report.classification == "low" and report.stalls == []
+        again, report_again, _ = one_run()
+        assert report_again.to_text() == report.to_text()
+        assert again.bridge.journal == world.bridge.journal
 
 
 class TestWork:
@@ -258,6 +339,17 @@ class TestThreatMatrix:
         report = run_scenario(entry.build())
         assert report.classification == entry.expected
 
+    @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)
+    def test_matrix_file_runs_to_its_golden_digest(self, entry, tmp_path):
+        report, journal = tmp_path / "report.json", tmp_path / "journal.log"
+        with as_file(THREATS / entry.file) as path:
+            assert cli_main(["run", str(path), "--report", str(report),
+                             "--journal", str(journal)]) == 0
+        # the golden digest covers the report text, a newline and the journal
+        text = report.read_text() + journal.read_text().removesuffix("\n")
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == SUITE_GOLDEN[entry.name])
+
 
 class TestCli:
     def test_run_scenario_file(self, tmp_path, capsys):
@@ -305,6 +397,10 @@ class TestCli:
     def test_malformed_scenarios_exit_2_with_one_line(self, tmp_path, capsys):
         request = {"tick": 1, "action": "request_transfer",
                 "call": {"signature": "setValue(uint128)", "args": [1]}}
+        admin = {"tick": 1, "action": "admin_set"}
+        # only the run finds that the chain is too short for this reorg
+        too_deep = {"workload": [{"tick": 2, "action": "inject_reorg",
+                                  "depth": 50}]}
         for doc in ({"source": {"network_id": "a", "bogus": 1}},
                     {"signatory_modes": ["honest", "evil"]},
                     {"dest": {"network_id": "b", "hash_alg": "md5"}},
@@ -315,8 +411,7 @@ class TestCli:
             {"workload": [{"tick": 1, "action": "request_transfer"}]},
             {"workload": [{"tick": 3, "action": "inject_reorg", "depth": 1,
                            "drop": ["undefined"]}]},
-            {"workload": [{"tick": 2, "action": "inject_reorg",
-                           "depth": 50}]},
+            too_deep,
             {"workload": [{"tick": 1, "action": "faulty_view",
                            "target": "nobody",
                            "corruption": {"kind": "none"}}]},
@@ -338,7 +433,7 @@ class TestCli:
             {"workload": [dict(request, value="x")]},
             {"workload": [dict(request, value=-1)]},
             {"workload": [dict(request, value=2**256)]},
-            {"source": {"network_id": 5}},
+            {"source": {"network_id": 5}}, {"source": {"network_id": ""}},
             # scalar fields of the wrong type or out of range
             {"max_ticks": "x"}, {"sign_timeout_ticks": "x"}, {"seed": -1},
             {"censor_transfer_id": "x"}, {"monitor_auto_pause": 1},
@@ -355,13 +450,54 @@ class TestCli:
                            "corruption": {"kind": "fabricate_request",
                                           "block_number": 0,
                                           "transfer_id": -1,
-                                          "call": request["call"]}}]}):
+                                          "call": request["call"]}}]},
+            # values of the wrong type inside actions and their objects
+            {"workload": [dict(admin, field="transactionFee", value="x")]},
+            {"workload": [dict(admin, field="transactionFee", value=5,
+                               caller=5)]},
+            {"workload": [dict(admin, field="relayer",
+                               value={"account": 5})]},
+            {"workload": [dict(admin, field="signatories",
+                               value={"keys": [{"attacker": 0}],
+                                      "quorum": "x"})]},
+            {"workload": [dict(admin, field="authorizedSenders",
+                               value={"senders": [5]})]},
+            {"workload": [dict(request, action="bridge_forge", transfer_id=3,
+                               recipient=5)]},
+            {"workload": [dict(request, action="direct_process_transfer",
+                               transfer_id=0, caller=5)]},
+            # a bool where an int is wanted, a typo'd key, a string of
+            # labels, a negative signatory index
+            {"workload": [{"tick": 2, "action": "inject_reorg",
+                           "depth": True}]},
+            {"workload": [dict(request, tick=True)]},
+            {"workload": [dict(request, sendr="bob")]},
+            {"workload": [dict(request, label="a"),
+                          {"tick": 3, "action": "inject_reorg", "depth": 1,
+                           "drop": "a"}]},
+            {"workload": [{"tick": 1, "action": "faulty_view",
+                           "target": "signatory:-1",
+                           "corruption": {"kind": "none"}}]}):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
-            assert cli_main(["run", str(path)]) == 2
+            assert cli_main(["run", str(path)]) == 2, doc
             err = capsys.readouterr().err
-            assert err.startswith("error: invalid scenario file")
-            assert err.count("\n") == 1
+            assert err.startswith("error: invalid scenario file"), doc
+            assert err.count("\n") == 1, err
+            if doc is not too_deep:  # the rest fail at load
+                with pytest.raises(ConfigError):
+                    ScenarioConfig.from_json(json.dumps(doc))
+        World(ScenarioConfig.from_dict(too_deep))  # it loads
+
+    def test_other_unloadable_scenarios_exit_2(self, tmp_path, capsys):
+        for text in ("[1]", "5", "null", "[" * 10**5 + "]" * 10**5):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            assert cli_main(["run", str(path)]) == 2
+            assert "invalid scenario file" in capsys.readouterr().err
+        path.write_text(ScenarioConfig().to_json())
+        assert cli_main(["run", str(path), "--seed", "-1"]) == 2
+        assert "invalid scenario file: seed" in capsys.readouterr().err
 
     def test_demo(self, capsys):
         assert cli_main(["demo"]) == 0
@@ -376,3 +512,51 @@ class TestCli:
         assert "0 mismatches" in out
         for entry in SUITE:
             assert entry.name in out
+
+
+def describe(spec) -> str:
+    """The action reference's words for ``spec``: objects spelled out."""
+    if type(spec) is dict:
+        return "{" + ", ".join(key_doc(k, e) for k, e in spec.items()) + "}"
+    if type(spec) is Pick:
+        return f"an object picked by its `{spec.tag}` (below)"
+    if type(spec) is list:
+        return f"a list, each item {describe(spec[0])}" + (
+            f", its length {describe(spec[1])}" if spec[1:] else "")
+    return scenario._name(spec)
+
+
+def key_doc(key, entry) -> str:
+    spec, default = entry
+    return f"`{key}`: {describe(spec)}" + (
+        "" if default is ... else f" (default `{json.dumps(default)}`)")
+
+
+def reference_lines(name, spec, skip=("tick", "action")):
+    """One line per action, or per variant of a Pick."""
+    if type(spec) is Pick:
+        for tag, sub in spec.specs.items():
+            yield from reference_lines(f"{name}` with `{spec.tag}` `{tag}",
+                                       sub, skip + (spec.tag,))
+        return
+    keys = [key_doc(k, e) for k, e in spec.items() if k not in skip]
+    yield f"- `{name}`: " + ("; ".join(keys) or "no other keys") + "."
+
+
+def render_reference() -> str:
+    lines = [line for kind, spec in ACTIONS.specs.items()
+             for line in reference_lines(kind, spec)]
+    lines.append("")
+    lines.append("`corruption` objects:")
+    lines.append("")
+    lines += [line for kind, spec in CORRUPTION.specs.items()
+              for line in reference_lines(kind, spec, ("kind",))]
+    return "\n".join(lines)
+
+
+class TestDocs:
+    def test_readme_action_reference_matches_the_schema(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        begin, end = "<!-- action reference -->\n", "\n<!-- end -->"
+        section = readme[readme.index(begin) + len(begin):readme.index(end)]
+        assert section == render_reference()
