@@ -5,11 +5,14 @@ import pathlib
 import random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgesim import (
     EncodingError,
+    Keypair,
     TransferMessage,
     blake2b256,
     compute_transfer_hash,
@@ -21,6 +24,7 @@ from bridgesim import (
 )
 from bridgesim.codec import (
     SIGNATURE_LEN,
+    SIGNED_MEMO_SIZE,
     decode_function_call,
     hash_bytes,
     parse_signature,
@@ -303,6 +307,11 @@ class TestSignatures:
             garbage = rng.randbytes(rng.randrange(100))
             assert not verify(kp.public_key, digest, garbage)
             assert not verify(garbage[:32], digest, sig)
+        for args in ((None, digest, sig), (kp.public_key, None, sig),
+                     (kp.public_key, digest, None), (kp.public_key, 5, sig),
+                     ([1], [2], [3]), (bytearray(kp.public_key),
+                                       bytearray(digest), bytearray(sig))):
+            assert verify(*args) is False
 
     def test_bit_flipped_signatures_fail(self):
         kp = keygen(b"\x09" * 32)
@@ -321,3 +330,109 @@ class TestSignatures:
     def test_seed_length_enforced(self):
         with pytest.raises(EncodingError):
             keygen(b"short")
+
+    def test_keypair_refuses_a_public_key_not_its_signers(self):
+        kp, other = keygen(b"\x0b" * 32), keygen(b"\x0c" * 32)
+        assert Keypair(public_key=kp.public_key, signer=kp.signer) == kp
+        for public_key, signer in ((other.public_key, kp.signer),
+                                   (bytearray(kp.public_key), kp.signer),
+                                   (kp.public_key[:31], kp.signer),
+                                   (kp.public_key, None)):
+            with pytest.raises(EncodingError):
+                Keypair(public_key=public_key, signer=signer)
+
+
+def _direct(public_key, digest, signature) -> bool:
+    """The full Ed25519 check, with no memo in front of it."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, digest)
+        return True
+    except (InvalidSignature, ValueError, TypeError):
+        return False
+
+
+KEYS = [keygen(bytes([i]) * 32) for i in range(16, 19)]
+MUTATIONS = ("fresh", "bit-flip", "truncate", "other-key", "other-digest",
+             "bytearray")
+
+
+def _mutated(data, kp, digest, sig):
+    """(public key, digest, signature) of one drawn mutation of a signature
+    that `sign` just made; the other key and digest sign too, so the memo
+    holds an entry for the pair being asked about."""
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if kind == "bit-flip":
+        flipped = bytearray(sig)
+        flipped[data.draw(st.integers(0, 63))] ^= 1 << data.draw(
+            st.integers(0, 7))
+        return kp.public_key, digest, bytes(flipped)
+    if kind == "truncate":
+        return kp.public_key, digest, sig[:data.draw(st.integers(0, 63))]
+    if kind == "other-key":
+        other = data.draw(st.sampled_from([k for k in KEYS if k != kp]))
+        sign(other, digest)
+        return other.public_key, digest, sig
+    if kind == "other-digest":
+        other = data.draw(st.binary(min_size=32, max_size=32).filter(
+            lambda d: d != digest))
+        sign(kp, other)
+        return kp.public_key, other, sig
+    triple = [kp.public_key, digest, sig]
+    if kind == "bytearray":
+        for i in data.draw(st.sets(st.integers(0, 2), min_size=1)):
+            triple[i] = bytearray(triple[i])
+    return tuple(triple)
+
+
+class TestSignedMemo:
+    """`verify` answers a triple `sign` made from memory; every verdict must
+    still be the full check's."""
+
+    @given(key=st.sampled_from(KEYS),
+           digest=st.binary(min_size=32, max_size=32), data=st.data())
+    def test_verify_agrees_with_the_full_check(self, key, digest, data):
+        sig = sign(key, digest)
+        triple = _mutated(data, key, digest, sig)
+        assert verify(*triple) == _direct(*triple)
+        assert verify(key.public_key, digest, sig)
+
+    def test_fresh_signatures_skip_the_full_check(self, full_verifies):
+        kp = keygen(b"\x0e" * 32)
+        digest = blake2b256(b"fresh")
+        sig = sign(kp, digest)
+        assert verify(kp.public_key, digest, sig)
+        assert full_verifies.count == 0
+        assert not verify(kp.public_key, digest, bytes(64))
+        assert full_verifies.count == 1
+
+    def test_oldest_signature_leaves_the_memo_past_its_bound(
+            self, full_verifies):
+        # a 5k-transfer happy run verifies all 15,000 signatures from memory
+        assert SIGNED_MEMO_SIZE == 1 << 15
+        kp = keygen(b"\x0f" * 32)
+        target = blake2b256(b"target")
+        sig = sign(kp, target)
+        fill = [i.to_bytes(32, "big") for i in range(SIGNED_MEMO_SIZE)]
+        first = sign(kp, fill[0])
+        for digest in fill[1:-1]:
+            sign(kp, digest)
+        # the memo is full, the target its oldest entry; a hit evicts nothing
+        for _ in range(2):
+            assert verify(kp.public_key, target, sig)
+        assert full_verifies.count == 0
+        sign(kp, target)  # signing it again makes it the newest
+        sign(kp, fill[-1])  # the 1 << 15th sign since fill[0] drops fill[0]
+        assert verify(kp.public_key, target, sig)
+        assert full_verifies.count == 0
+        assert verify(kp.public_key, fill[0], first)
+        assert full_verifies.count == 1
+        rng = random.Random(6)
+        for _ in range(20):
+            flipped = bytearray(first)
+            flipped[rng.randrange(64)] ^= 1 << rng.randrange(8)
+            for triple in ((kp.public_key, fill[0], bytes(flipped)),
+                           (kp.public_key, fill[0], first[:rng.randrange(64)]),
+                           (KEYS[0].public_key, fill[0], first),
+                           (kp.public_key, target, first),
+                           (kp.public_key, bytearray(fill[0]), first)):
+                assert verify(*triple) == _direct(*triple)

@@ -197,6 +197,22 @@ class TestWork:
         # event digest, plus one hash per source block (genesis included)
         assert sum(digests.values()) == 2 * 50 + len(world.source.all_blocks)
 
+    def test_happy_run_verifies_every_signature_from_the_memo(
+            self, full_verifies):
+        world = World(ScenarioConfig(workload=simple_workload(100),
+                                     max_ticks=600))
+        report = world.run()
+        assert len(report.delivered) == 100
+        assert full_verifies.count == 0
+
+    def test_wrong_signatures_still_get_the_full_check(self, full_verifies):
+        entry = next(e for e in SUITE
+                     if e.name == "signatories_wrong_signature")
+        report = World(entry.build()).run()
+        assert full_verifies.count > 0
+        assert [0, "destinationRejected:InvalidSignature"] in report.stalls
+        assert report.classification == entry.expected
+
     def test_same_tick_request_and_reorg_dropping_its_label(self):
         call = {"signature": "setValue(uint128)", "args": [1]}
         workload = [
@@ -477,7 +493,12 @@ class TestCli:
                            "drop": "a"}]},
             {"workload": [{"tick": 1, "action": "faulty_view",
                            "target": "signatory:-1",
-                           "corruption": {"kind": "none"}}]}):
+                           "corruption": {"kind": "none"}}]},
+            # a flood too large to post in one tick
+            {"workload": [{"tick": 1, "action": "bridge_flood",
+                           "count": 10_001}]},
+            {"workload": [{"tick": 1, "action": "bridge_flood",
+                           "count": 10**8}]}):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert cli_main(["run", str(path)]) == 2, doc
