@@ -5,8 +5,9 @@ encoding with 4-byte selectors, the wire-canonical transfer data hash, and an
 Ed25519 sign/verify pair used by signatories and checked by the destination
 adapter.
 
-`sign` remembers the last ``SIGNED_MEMO_SIZE`` (public key, digest) ->
-signature triples it made, dropping the oldest first; a hit never evicts.
+`sign` remembers up to ``SIGNED_MEMO_SIZE`` (public key, digest) ->
+signature triples it made; past that bound the entry recorded first is
+dropped, and a hit never evicts.
 `verify` answers True at once for exactly such a triple of `bytes` and runs
 the full Ed25519 check for anything else. Ed25519 signing is deterministic
 and a signature made by a key always verifies under that key (a `Keypair`
@@ -219,7 +220,6 @@ def sign(keypair: Keypair, digest: bytes) -> bytes:
     signature = keypair.signer.sign(digest)
     key = (keypair.public_key, bytes(digest))
     _signed[key] = signature
-    _signed.move_to_end(key)
     if len(_signed) > SIGNED_MEMO_SIZE:
         _signed.popitem(last=False)
     return signature

@@ -420,19 +420,18 @@ class TestSignedMemo:
         for _ in range(2):
             assert verify(kp.public_key, target, sig)
         assert full_verifies.count == 0
-        sign(kp, target)  # signing it again makes it the newest
-        sign(kp, fill[-1])  # the 1 << 15th sign since fill[0] drops fill[0]
-        assert verify(kp.public_key, target, sig)
-        assert full_verifies.count == 0
+        sign(kp, fill[-1])  # the 1 << 15th sign since the target drops it
         assert verify(kp.public_key, fill[0], first)
+        assert full_verifies.count == 0
+        assert verify(kp.public_key, target, sig)
         assert full_verifies.count == 1
         rng = random.Random(6)
         for _ in range(20):
-            flipped = bytearray(first)
+            flipped = bytearray(sig)
             flipped[rng.randrange(64)] ^= 1 << rng.randrange(8)
-            for triple in ((kp.public_key, fill[0], bytes(flipped)),
-                           (kp.public_key, fill[0], first[:rng.randrange(64)]),
-                           (KEYS[0].public_key, fill[0], first),
-                           (kp.public_key, target, first),
-                           (kp.public_key, bytearray(fill[0]), first)):
+            for triple in ((kp.public_key, target, bytes(flipped)),
+                           (kp.public_key, target, sig[:rng.randrange(64)]),
+                           (KEYS[0].public_key, target, sig),
+                           (kp.public_key, fill[0], sig),
+                           (kp.public_key, bytearray(target), sig)):
                 assert verify(*triple) == _direct(*triple)
