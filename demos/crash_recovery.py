@@ -1,8 +1,9 @@
 """Exactly-once delivery across a bridge crash.
 
 Ten transfers are in flight when the bridge process dies and is rebuilt
-from its persisted job store. Resubmissions of anything that already
-landed surface as AlreadyProcessed events; no transfer is delivered twice.
+from its crash image: the log of immutable job records it wrote, one next
+to each journal line. Resubmissions of anything that already landed
+surface as AlreadyProcessed events; no transfer is delivered twice.
 """
 
 from bridgesim import ScenarioConfig, World

@@ -4,7 +4,7 @@ The bridge is a single logical actor advanced once per scheduler tick. It
 posts each signatory the `SigningRequest` object itself and reads
 `(transfer_id, SignResponse)` pairs from `inbox`. All job-state transitions
 are appended to a journal by `_write_journal` alone and mirrored into a
-pickled store, so a bridge can be killed at any transition point and rebuilt
+record log, so a bridge can be killed at any transition point and rebuilt
 with `BridgeNode.restore` without ever double-delivering a transfer.
 
 `jobs` maps each transfer id to its real job and is the only table that
@@ -31,31 +31,26 @@ instead of scanning the jobs. Forged jobs have their own list, visited every
 step; they skip the ordering rule, and the dest scan matches them from that
 list.
 
-The store holds one pickled blob per job and two indexes, both written by
-`_persist` alone from the job as stored:
-
-- the live index, an `(id, source tx hash)` pair per live real job, with the
-  hash given for a parked job and None for the rest;
-- the stalled index, an `(id, stall reason)` pair per stalled real job, from
-  which the report lists the stalls without decoding them.
-
-A restart costs time in the jobs that can act, not in the backlog waiting
-behind them or the history: `restore` takes the persisted blobs as the new
-node's store, files the parked jobs into `queued` and `by_source_tx` from
-the live index, decodes only the other live jobs and the forged jobs, and
-re-pickles only those it changes. Every other job stays its blob in `jobs`
-(a `_JobTable`) until something reads it: a parked job is decoded when
-`step` visits it as the unblocked queue head, or when the dest scan matches
-its source hash.
+The store is an append-only log of immutable job records (the job's fields
+as a tuple, `collected` as a tuple of pairs), appended by `_persist` next to
+each journal line and for each job `restore` resets. Indexes written with
+each record give each job's latest record, the live jobs (with the source tx
+hash of a parked one) and the stalled jobs' reasons, which the report lists.
+A crash image (`persisted`) shares the lines and records already written and
+serialises nothing. A restart costs time in the jobs that can act, not in the
+backlog or the history: `restore` files the parked jobs from the live index
+and thaws only the other live jobs and the forged jobs; every other job stays
+its record in `jobs` (a `_JobTable`) until read, e.g. as the unblocked queue
+head or by the dest scan matching its source hash.
 """
 
 from __future__ import annotations
 
-import pickle
 from bisect import insort
 from collections import UserDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 
 from .adapter import (
     encode_process_transfer,
@@ -98,7 +93,6 @@ class BridgeConfig:
 class TransferJob:
     transfer: TransferMessage
     state: str = "detected"
-    collected: dict = field(default_factory=dict)  # pubkey -> signature
     attempts: int = 0
     source_block_number: int = 0
     source_block_hash: bytes = b""
@@ -110,24 +104,60 @@ class TransferJob:
     processed_block: int | None = None
     stall_reason: str = ""
     forged: bool = False
+    # pubkey -> signature; the last field, as _freeze and _thaw expect
+    collected: dict = field(default_factory=dict)
 
     @property
     def transfer_id(self) -> int:
         return self.transfer.source_transfer_id
 
 
+_OTHER_FIELDS = attrgetter(*[f.name for f in fields(TransferJob)][:-1])
+
+
+def _freeze(job: TransferJob) -> tuple:
+    """``job`` as a record: its fields in order, ``collected`` as a tuple of
+    pairs, so that nothing in the record can change."""
+    return (*_OTHER_FIELDS(job), tuple(job.collected.items()))
+
+
+def _thaw(record: tuple) -> TransferJob:
+    """A fresh job from ``record``: no write to it reaches the record."""
+    return TransferJob(*record[:-1], dict(record[-1]))
+
+
+@dataclass(frozen=True)
+class CrashImage:
+    """What a crash leaves of a bridge: its journal and record log so far,
+    copies of the indexes into the log, its cursors, alarms and pause flag."""
+
+    journal: tuple[str, ...]
+    log: tuple[tuple, ...]
+    at: dict[int, int]  # real id -> log position of its latest record
+    forged_at: dict[int, int]  # place in forged_jobs -> the same
+    live: dict[int, bytes | None]
+    stalled: dict[int, str]
+    source_cursor: int
+    dest_cursor: int
+    alarms: tuple[tuple, ...]
+    paused: bool
+
+    def __len__(self) -> int:
+        return len(self.log)
+
+
 class _JobTable(UserDict):
     """``transfer_id -> TransferJob`` of a restored bridge. A job is held as
-    its persisted blob until first read, then decoded in place, so every
+    its latest log record until first read, then thawed in place, so every
     read sees the same object in the same order as a plain dict would."""
 
-    def __init__(self, blobs: dict[int, bytes]):
-        self.data = dict(blobs)
+    def __init__(self, log: list[tuple], index: dict[int, int]):
+        self.data = {tid: log[at] for tid, at in index.items()}
 
     def __getitem__(self, tid: int) -> TransferJob:
         job = self.data[tid]
-        if type(job) is bytes:
-            job = self.data[tid] = pickle.loads(job)
+        if type(job) is tuple:
+            job = self.data[tid] = _thaw(job)
         return job
 
 
@@ -167,8 +197,9 @@ class BridgeNode:
             "dest": ChainStatus((dest_view.head_number(),
                                  dest_view.head_hash())),
         }
-        self._job_blobs: dict[int, bytes] = {}
-        self._forged_blobs: list[bytes] = []
+        self._log: list[tuple] = []  # job records, appended by _persist alone
+        self._at: dict[int, int] = {}  # real id -> log position, in job order
+        self._forged_at: dict[int, int] = {}  # place in forged_jobs -> same
         # live real ids, in order -> source tx hash if parked, else None
         self._live: dict[int, bytes | None] = {}
         self._stalled: dict[int, str] = {}  # stalled real ids -> stall reason
@@ -217,13 +248,15 @@ class BridgeNode:
                 self.moving.add(tid)
 
     def _persist(self, job: TransferJob) -> None:
-        """Write-through store: only the changed job is re-serialized, and
-        the live and stalled indexes are updated from it."""
+        """Append ``job``'s record to the log and point the indexes at it."""
+        at = len(self._log)
+        self._log.append(_freeze(job))
         if job.forged:
-            self._forged_blobs = [pickle.dumps(j) for j in self.forged_jobs]
+            place = next(i for i, j in enumerate(self.forged_jobs) if j is job)
+            self._forged_at[place] = at
             return
         tid = job.transfer_id
-        self._job_blobs[tid] = pickle.dumps(job)
+        self._at[tid] = at
         if job.state in FINAL_STATES:
             self._live.pop(tid, None)
             if job.state == "stalled":
@@ -233,52 +266,40 @@ class BridgeNode:
                                if self._parked(job) else None)
 
     @property
-    def persisted(self) -> bytes:
-        """Snapshot of the durable job store, as a crash would find it."""
-        return pickle.dumps({
-            "jobs": dict(self._job_blobs),
-            "forged_jobs": list(self._forged_blobs),
-            "journal": self.journal,
-            "source_cursor": self.source_cursor,
-            "dest_cursor": self.dest_cursor,
-            "alarms": self.alarms,
-            "paused": self.paused,
-            "live": list(self._live.items()),
-            "stalled": list(self._stalled.items()),
-        })
+    def persisted(self) -> CrashImage:
+        """The durable store as a crash would find it. It shares the lines
+        and records written so far; later writes do not reach it."""
+        return CrashImage(
+            tuple(self.journal), tuple(self._log), dict(self._at),
+            dict(self._forged_at), dict(self._live), dict(self._stalled),
+            self.source_cursor, self.dest_cursor, tuple(self.alarms),
+            self.paused)
 
     @classmethod
-    def restore(cls, persisted: bytes, config: BridgeConfig,
+    def restore(cls, image: CrashImage, config: BridgeConfig,
                 source_view: ChainView, dest_view: ChainView,
                 dest_chain: Chain, post) -> "BridgeNode":
-        """Rebuild a bridge from its persisted job store after a crash.
-
-        In-flight submissions are resubmitted; the destination adapter's
-        processed map turns duplicates into AlreadyProcessed events. The
-        persisted blobs become the new store as they are. Parked jobs are
-        filed from the live index and stay blobs in ``jobs``, as final jobs
-        do, until read; only the other live jobs and the forged jobs are
-        decoded, and only a job whose sent tx or signing request is reset
-        here is re-pickled.
-        """
+        """Rebuild a bridge from its crash image. In-flight submissions are
+        resubmitted; the destination adapter's processed map turns
+        duplicates into AlreadyProcessed events. Only the live jobs that can
+        act and the forged jobs are thawed, and a record is appended only
+        for a job whose sent tx or signing request is reset here."""
         node = cls(config, source_view, dest_view, dest_chain, post)
-        doc = pickle.loads(persisted)
-        node._job_blobs = doc["jobs"]
-        node._forged_blobs = doc["forged_jobs"]
-        node._live = dict(doc["live"])
-        node._stalled = dict(doc["stalled"])
-        node.jobs = _JobTable(node._job_blobs)
-        node.forged_jobs = [pickle.loads(blob) for blob in node._forged_blobs]
-        node.journal = doc["journal"]
-        node.source_cursor = doc["source_cursor"]
-        node.dest_cursor = doc["dest_cursor"]
-        node.alarms = doc["alarms"]
-        node.paused = doc["paused"]
+        node.journal, node._log, node.alarms = map(
+            list, (image.journal, image.log, image.alarms))
+        node._at, node._forged_at, node._live, node._stalled = map(
+            dict, (image.at, image.forged_at, image.live, image.stalled))
+        node.jobs = _JobTable(node._log, node._at)
+        node.forged_jobs = [_thaw(node._log[at])
+                            for at in node._forged_at.values()]
+        node.source_cursor = image.source_cursor
+        node.dest_cursor = image.dest_cursor
+        node.paused = image.paused
         acting = []
         for tid, src_hash in node._live.items():
             if src_hash is None:
                 acting.append(node.jobs[tid])
-            else:  # parked: only the queue head can act, so decode it later
+            else:  # parked: only the queue head can act, so thaw it later
                 node.queued.add(tid)
                 node.by_source_tx.setdefault(src_hash, set()).add(tid)
         node._heads = list(node.queued)

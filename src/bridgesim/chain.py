@@ -15,7 +15,6 @@ start, so a rollback costs one step per write undone at any depth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .codec import HASH_ALGS, hash_bytes, hash_many
@@ -464,49 +463,6 @@ class Chain:
         if number is None:
             return None
         return self.blocks[-1].number - number
-
-    # -- canonical structured-text dump --------------------------------------
-
-    def dump_state(self) -> str:
-        """Canonical text snapshot (stable field order) for golden tests."""
-        doc = {
-            "network_id": self.config.network_id,
-            "hash_alg": self.config.hash_alg,
-            "head": self.blocks[-1].number,
-            "blocks": [
-                {
-                    "number": b.number,
-                    "hash": b.block_hash.hex(),
-                    "parent": b.parent_hash.hex(),
-                    "tick": b.tick,
-                    "transactions": [t.tx_hash.hex() for t in b.transactions],
-                    "events": [
-                        {"emitter": e.emitter.hex(), "name": e.name,
-                         "attributes": [[k, v.hex()] for k, v in e.attributes]}
-                        for e in b.events
-                    ],
-                }
-                for b in self.blocks
-            ],
-            "balances": {a.hex(): v for a, v in sorted(self.balances.items())},
-            "contracts": {
-                addr.hex(): _to_text(c.state)
-                for addr, c in sorted(self.contracts.items())
-            },
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def _to_text(value):
-    if isinstance(value, (bytes, bytearray)):
-        return "0x" + bytes(value).hex()
-    if isinstance(value, dict):
-        return {(  # byte keys become hex strings
-            "0x" + k.hex() if isinstance(k, (bytes, bytearray)) else k
-        ): _to_text(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_text(v) for v in value]
-    return value
 
 
 class ChainView:

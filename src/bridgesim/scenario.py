@@ -160,6 +160,12 @@ def _quorum(v, cfg):
     return _error(range(1, len(cfg.signatory_modes) + 1), v, cfg)
 
 
+def _flood_count(v, cfg):
+    """an integer in [0, 10001); count * signatories at most 100000"""
+    if _error(range(10_001), v, cfg) or v * len(cfg.signatory_modes) > 10**5:
+        return f" must be {_flood_count.__doc__}, not {_brief(v)}"
+
+
 def _network_id(v, cfg):
     """a non-empty string"""
     if type(v) is not str or not v:
@@ -260,7 +266,7 @@ ACTIONS = Pick("action", {
     "bridge_forge": _action(**FORGED),
     # posted to each signatory in one tick: 10,000 with 3 signatories peaks
     # at 2.3 MB (tracemalloc), where 10**8 would ask for about 23 GB
-    "bridge_flood": _action(count=(range(10_001), ...)),
+    "bridge_flood": _action(count=(_flood_count, ...)),
     "direct_process_transfer": _action(  # caller "relayer": the relay's key
         **FORGED, attacker_signers=([range(ATTACKERS)], (0, 1)),
         caller=(str, "attacker")),
@@ -275,7 +281,7 @@ FIELDS = {  # in checking order: a check may read the fields before it
     "source": CHAIN_CONFIG, "dest": CHAIN_CONFIG,
     "accept_only_authorized": bool, "monitor_auto_pause": bool,
     "authorized_senders": [str],
-    "signatory_modes": [BEHAVIOR_MODES, range(1, 1 << 64)],
+    "signatory_modes": [BEHAVIOR_MODES, range(1, 1 << 16)],  # U16 key lists
     "quorum_size": (None, _quorum), "signatory_min_confirmations": (None, U64),
     "censor_transfer_id": (None, U64),
     "reorg_response": ("pause", "retry", "continue"),
@@ -688,7 +694,7 @@ class World:
         self.restart_bridge()
 
     def restart_bridge(self) -> None:
-        """Kill the bridge process and rebuild it from the persisted journal."""
+        """Kill the bridge process and rebuild it from its crash image."""
         self.bridge = BridgeNode.restore(
             self.bridge.persisted, self.bridge_config,
             source_view=self.bridge.source_view,

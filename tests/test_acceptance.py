@@ -35,6 +35,7 @@ from bridgesim.adapter import (
     event_attr,
 )
 from bridgesim.scenario import contract_address
+from state_dump import dump_state
 
 
 def ok(n: int, text: str) -> None:
@@ -131,7 +132,7 @@ def test_criterion_3_replay_rejection_bit_level():
     original_block = {d[0]: d[2] for d in report.delivered}
 
     def dest_core_state():
-        doc = json.loads(world.dest.dump_state())
+        doc = json.loads(dump_state(world.dest))
         return doc["contracts"], doc["balances"]
 
     before = dest_core_state()

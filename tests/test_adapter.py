@@ -28,6 +28,7 @@ from bridgesim.adapter import (
     encode_request_transfer,
     event_attr,
 )
+from state_dump import dump_state
 
 OWNER = blake2b256(b"acct:owner")
 ALICE = blake2b256(b"acct:alice")
@@ -172,7 +173,7 @@ class TestProcessTransfer:
         m = fx.message()
         _, first = fx.process(m, fx.bundle(m, [0, 1]))
         original_block = fx.chain.tx_index[first.tx_hash]
-        snapshot = fx.chain.dump_state()
+        snapshot = dump_state(fx.chain)
         _, replay = fx.process(m, fx.bundle(m, [0, 1]))
         assert replay.status == "ok"  # non-reverting by design
         ev = fx.events("AlreadyProcessed")[0]
@@ -254,10 +255,10 @@ class TestProcessTransfer:
         fx = Fixture()
         good = fx.message(transfer_id=0)
         fx.process(good, fx.bundle(good, [0, 1]))
-        before = fx.chain.dump_state()
+        before = dump_state(fx.chain)
         bad = fx.message(transfer_id=5)
         fx.process(bad, fx.bundle(bad, [0, 1]))
-        after = fx.chain.dump_state()
+        after = dump_state(fx.chain)
         # only block history differs; contract state and balances are frozen
         b, a = json.loads(before), json.loads(after)
         assert a["contracts"] == b["contracts"]
@@ -281,11 +282,11 @@ class TestProcessTransfer:
         fx = Fixture()
         m = fx.message(call=b"\x01\x02")
         entries = [(SIGNERS[0].public_key, bytes(64))]
-        before = json.loads(fx.chain.dump_state())["contracts"]
+        before = json.loads(dump_state(fx.chain))["contracts"]
         _, receipt = fx.process(m, entries)  # mining must not raise
         assert (receipt.status, receipt.reason) == ("reverted",
                                                     "MalformedPayload")
-        assert json.loads(fx.chain.dump_state())["contracts"] == before
+        assert json.loads(dump_state(fx.chain))["contracts"] == before
 
     def test_network_id_not_utf8_reverts_malformed(self):
         fx = Fixture()
@@ -364,11 +365,11 @@ class TestAdmin:
             "senders-empty", "senders-cut", "quorum-missing"])
     def test_short_admin_payload_reverts_malformed(self, payload):
         fx = Fixture()
-        before = json.loads(fx.chain.dump_state())["contracts"]
+        before = json.loads(dump_state(fx.chain))["contracts"]
         _, receipt = fx.submit(OWNER, payload)  # mining must not raise
         assert (receipt.status, receipt.reason) == ("reverted",
                                                     "MalformedPayload")
-        assert json.loads(fx.chain.dump_state())["contracts"] == before
+        assert json.loads(dump_state(fx.chain))["contracts"] == before
         assert not fx.events("ConfigChanged")
 
     def test_constructor_validation(self):
@@ -430,7 +431,7 @@ class TestTruncatedPayloads:
     def test_every_strict_prefix_reverts_malformed(self, case):
         sender, payload, value = case
         fx = Fixture()
-        before = json.loads(fx.chain.dump_state())
+        before = json.loads(dump_state(fx.chain))
         txs = fx.chain.make_transactions(
             [(sender, ADAPTER, payload[:n], value)
              for n in range(4, len(payload))])
@@ -441,7 +442,7 @@ class TestTruncatedPayloads:
             receipt = fx.chain.get_receipt(tx.tx_hash)
             assert (receipt.status, receipt.reason) == (
                 "reverted", "MalformedPayload"), len(tx.payload)
-        after = json.loads(fx.chain.dump_state())
+        after = json.loads(dump_state(fx.chain))
         assert after["contracts"] == before["contracts"]
         assert after["balances"] == before["balances"]
         _, receipt = fx.submit(sender, payload, value=value)

@@ -1,10 +1,11 @@
 """Relay node: finality gating, ordering, retries, recovery, byzantine modes."""
 
+import json
+import marshal
 import pickle
 import re
 from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import bridgesim.bridge as bridge_module
 from bridgesim import ScenarioConfig, World, contract_address
@@ -26,25 +27,35 @@ def run(config, on_tick=None):
     return world, report
 
 
-def restore_pickle_calls(monkeypatch, world):
-    """The ``pickle.loads``/``dumps`` calls of restoring ``world``'s bridge
-    from its persisted store."""
+def restart_work(monkeypatch, world):
+    """The records thawed (``thaw``) and the ``pickle``, ``marshal`` and
+    ``json`` calls made by imaging ``world``'s bridge and restoring it."""
     bridge = world.bridge
-    persisted = bridge.persisted
     calls = Counter()
 
-    def counted(name):
+    def counted(name, fn):
         def call(*args, **kwargs):
             calls[name] += 1
-            return getattr(pickle, name)(*args, **kwargs)
+            return fn(*args, **kwargs)
         return call
 
     with monkeypatch.context() as m:
-        m.setattr(bridge_module, "pickle", SimpleNamespace(
-            loads=counted("loads"), dumps=counted("dumps")))
-        BridgeNode.restore(persisted, world.bridge_config, bridge.source_view,
-                           bridge.dest_view, world.dest, world.post)
+        m.setattr(bridge_module, "_thaw", counted("thaw", bridge_module._thaw))
+        for module in (pickle, marshal, json):
+            for name in ("dumps", "loads", "dump", "load"):
+                m.setattr(module, name, counted(
+                    f"{module.__name__}.{name}", getattr(module, name)))
+        BridgeNode.restore(bridge.persisted, world.bridge_config,
+                           bridge.source_view, bridge.dest_view, world.dest,
+                           world.post)
     return calls
+
+
+def node_state(node):
+    """Everything a restored bridge holds but its view of the chain heads."""
+    return (node.persisted, dict(node.jobs.items()), node.forged_jobs,
+            node.moving, node.queued, sorted(node._heads), node.by_source_tx,
+            node.inbox, node.inflight)
 
 
 def tx_out(world):
@@ -273,8 +284,9 @@ class TestCrashRecovery:
                 world.step()
             world.restart_bridge()
             bridge = world.bridge
-            doc = pickle.loads(bridge.persisted)
-            stored = {t: pickle.loads(b) for t, b in doc["jobs"].items()}
+            image = bridge.persisted
+            stored = {t: bridge_module._thaw(image.log[at])
+                      for t, at in image.at.items()}
             assert stored == dict(bridge.jobs.items())
             assert not any(j.submitted_tx for j in stored.values()
                            if j.state == "submitting")
@@ -330,7 +342,7 @@ class TestCrashRecovery:
             World.restart_bridge(world)
             bridge = world.bridge
             filed.append((0 in bridge.queued,
-                          type(bridge.jobs.data[0]) is bytes))
+                          type(bridge.jobs.data[0]) is tuple))
 
         world.restart_bridge = restart
         while world.tick < sent:
@@ -338,8 +350,8 @@ class TestCrashRecovery:
         assert tx_out(world)
         world.restart_bridge()
         report = world.run()
-        # the first restart decodes and resets job 0; the second files it
-        # from the live index undecoded, and the old tx lands after that
+        # the first restart thaws and resets job 0; the second files it
+        # from the live index as its record, and the old tx lands after that
         assert filed == [(True, False), (True, True)]
         assert [d[0] for d in report.delivered] == [0, 1, 2]
         processed = world.dest.get_events(
@@ -350,6 +362,63 @@ class TestCrashRecovery:
                  if line.split(" | ")[1] == "0"]
         assert moves.count("submitting -> submitting") == 1  # never resent
         assert moves.count("submitting -> awaitingDestFinality") == 1
+
+    def test_crash_image_is_as_isolated_as_bytes(self):
+        world = World(ScenarioConfig(
+            workload=[transfer_action(i, 1 + i) for i in range(12)]))
+        # job 0 has a tx out, later jobs wait with their signatures, and
+        # one has a signing request out
+        while not (tx_out(world) and world.bridge.queued and any(
+                j.state == "collectingSignatures"
+                for j in world.bridge.jobs.values())):
+            world.step()
+        old = world.bridge
+        image = old.persisted
+        frozen = pickle.dumps(image)
+
+        def restore():
+            return BridgeNode.restore(image, world.bridge_config,
+                                      old.source_view, old.dest_view,
+                                      world.dest, world.post)
+
+        at_once = node_state(restore())
+        for _ in range(20):
+            world.step()  # the old bridge writes on
+        assert len(old.journal) > len(image.journal)
+        first, second = restore(), restore()
+        assert node_state(first) == node_state(second) == at_once
+        for tid in first.jobs:
+            job = first.jobs[tid]
+            job.collected[b"\x01" * 32] = b"\x02" * 64
+            job.submitted_tx = b"\x03" * 32
+        assert pickle.dumps(image) == frozen
+        assert node_state(second) == at_once
+
+    def test_stale_image_resubmission_ends_already_processed(self):
+        # an image taken while job 0 collects signatures is restored after
+        # the old bridge saw it processed: the new node scans the Processed
+        # event while job 0 still collects, so it matches no job; job 0 then
+        # resubmits, and the adapter answers AlreadyProcessed
+        world = World(ScenarioConfig(workload=[transfer_action(0, 1)]))
+        while not (0 in world.bridge.jobs and
+                   world.bridge.jobs[0].state == "collectingSignatures"):
+            world.step()
+        image = world.bridge.persisted
+        while world.bridge.jobs[0].state != "done":
+            world.step()
+        old = world.bridge
+        world.bridge = BridgeNode.restore(
+            image, world.bridge_config, old.source_view, old.dest_view,
+            world.dest, world.post)
+        report = world.run()
+        assert [d[0] for d in report.delivered] == [0]
+        assert world.bridge.journal[-1].endswith(
+            "| 0 | submitting -> done | already processed on resubmission")
+        adapter = world.adapters["dest"].address
+        head = world.dest.head_number()
+        assert len(world.dest.get_events(adapter, "Processed", 0, head)) == 1
+        assert len(world.dest.get_events(
+            adapter, "AlreadyProcessed", 0, head)) == 1
 
     def test_journal_survives_restart(self):
         config = ScenarioConfig(
@@ -429,15 +498,15 @@ class TestWork:
         assert large <= 2.2 * small, (small, large)
 
     def test_restore_work_does_not_grow_with_history(self, monkeypatch):
-        def calls(count):
+        def work(count):
             world, report = run(ScenarioConfig(
                 workload=[transfer_action(i, 1 + i // 5)
                           for i in range(count)]))
             assert [d[0] for d in report.delivered] == list(range(count))
-            return restore_pickle_calls(monkeypatch, world)
+            return restart_work(monkeypatch, world)
 
-        # every job is final: the store document is the only thing decoded
-        assert calls(100) == calls(200) == Counter(loads=1)
+        # every job is final: nothing is thawed and nothing is serialised
+        assert work(100) == work(1000) == Counter()
 
     def test_restore_work_does_not_grow_with_the_backlog(self, monkeypatch):
         forge = {"tick": 1, "action": "bridge_forge", "transfer_id": 0,
@@ -445,7 +514,7 @@ class TestWork:
                  "call": {"signature": "mint(address,uint128)",
                           "args": [{"account": "attacker"}, 10**6]}}
 
-        def loads(count):
+        def thaws(count):
             world = World(ScenarioConfig(
                 workload=[transfer_action(i, 1) for i in range(count)]
                 + [forge]))
@@ -453,15 +522,15 @@ class TestWork:
                 world.step()
             # every later job has its signatures and waits behind job 0
             assert world.bridge.queued == set(range(1, count))
-            doc = pickle.loads(world.bridge.persisted)
-            acting = sum(src_hash is None for _, src_hash in doc["live"])
-            assert acting == len(doc["forged_jobs"]) == 1
-            calls = restore_pickle_calls(monkeypatch, world)
-            # the store document, job 0 and the forged job; no parked job
-            assert calls["loads"] == 1 + acting + len(doc["forged_jobs"])
-            return calls["loads"]
+            image = world.bridge.persisted
+            acting = sum(src_hash is None for src_hash in image.live.values())
+            assert acting == len(image.forged_at) == 1
+            calls = restart_work(monkeypatch, world)
+            # job 0 and the forged job; no parked job, and no serialisation
+            assert calls == Counter(thaw=acting + len(image.forged_at))
+            return calls["thaw"]
 
-        assert loads(10) == loads(20) == 3
+        assert thaws(10) == thaws(20) == 2
 
     def test_job_tables_match_a_rebuild_every_tick(self):
         workload = [transfer_action(i, 1 + i // 2) for i in range(40)]

@@ -19,6 +19,7 @@ from bridgesim import (
 )
 from bridgesim.chain import ChainError, Revert
 from bridgesim.codec import hash_bytes
+from state_dump import dump_state
 
 ALICE = blake2b256(b"acct:alice")
 BOB = blake2b256(b"acct:bob")
@@ -332,7 +333,7 @@ class TestSnapshots:
             for t in range(1, 4):
                 set_value(chain, t)
                 chain.mine_block(tick=t)
-            return chain.dump_state()
+            return dump_state(chain)
         assert build() == build()
 
 
@@ -465,7 +466,7 @@ class TestDeterminism:
                     chain.inject_reorg(
                         depth=1 + arg % chain.head_number()
                         if chain.head_number() > 1 else 1)
-            return chain.dump_state()
+            return dump_state(chain)
         assert run() == run()
 
     def test_branches_have_distinct_hashes(self):

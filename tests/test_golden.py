@@ -2,6 +2,7 @@
 the report or the journal by one byte."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,8 @@ GOLDEN = {
         "c8e9780e422e9ef8a78188d29e78ef7ad94d3d76dfc2ba8877bba2ba94910e49",
     "fault_mix":
         "7360e4045a989a74a48cf4a6056ffeed42505211c2ceaa84472057f7d25c09b8",
+    "relay_restarts":
+        "9eb7bdd911e61c67e5fb0e3f4ca1139d76b06394627e7c12f68afb5f0c58931b",
 }
 
 SUITE_GOLDEN = {
@@ -92,6 +95,14 @@ def test_happy_100_transfers():
 
 def test_fault_mix():
     assert digest(fault_mix()) == GOLDEN["fault_mix"]
+
+
+def test_relay_restarts_file():
+    # a bridge restart every 4 ticks among 60 transfers, dest reorgs, a
+    # forged transfer and a refusing signatory; no source reorg
+    path = Path(__file__).parents[1] / "scenarios" / "relay_restarts.json"
+    config = ScenarioConfig.from_json(path.read_text())
+    assert digest(config) == GOLDEN["relay_restarts"]
 
 
 @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)

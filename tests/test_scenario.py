@@ -498,7 +498,13 @@ class TestCli:
             {"workload": [{"tick": 1, "action": "bridge_flood",
                            "count": 10_001}]},
             {"workload": [{"tick": 1, "action": "bridge_flood",
-                           "count": 10**8}]}):
+                           "count": 10**8}]},
+            # 10,000 floods to each of 11 signatories: 110,000 bus messages
+            {"signatory_modes": ["honest"] * 11,
+             "workload": [{"tick": 1, "action": "bridge_flood",
+                           "count": 10_000}]},
+            # more signatories than the adapter's U16 key list holds
+            {"signatory_modes": ["honest"] * (1 << 16)}):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert cli_main(["run", str(path)]) == 2, doc
