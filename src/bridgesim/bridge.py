@@ -51,6 +51,7 @@ from collections import UserDict
 from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
+from typing import NamedTuple
 
 from .adapter import (
     encode_process_transfer,
@@ -126,8 +127,7 @@ def _thaw(record: tuple) -> TransferJob:
     return TransferJob(*record[:-1], dict(record[-1]))
 
 
-@dataclass(frozen=True)
-class CrashImage:
+class CrashImage(NamedTuple):
     """What a crash leaves of a bridge: its journal and record log so far,
     copies of the indexes into the log, its cursors, alarms and pause flag."""
 
@@ -141,9 +141,6 @@ class CrashImage:
     dest_cursor: int
     alarms: tuple[tuple, ...]
     paused: bool
-
-    def __len__(self) -> int:
-        return len(self.log)
 
 
 class _JobTable(UserDict):
