@@ -1,8 +1,8 @@
 """Exactly-once delivery across a bridge crash.
 
 Ten transfers are in flight when the bridge process dies and is rebuilt
-from its crash image: the log of immutable job records it wrote, one next
-to each journal line. Resubmissions of anything that already landed
+from its crash image: its journal and the latest immutable record of each
+job, overwritten next to each journal line. Resubmissions of anything that already landed
 surface as AlreadyProcessed events; no transfer is delivered twice.
 """
 

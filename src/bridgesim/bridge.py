@@ -3,9 +3,10 @@
 The bridge is a single logical actor advanced once per scheduler tick. It
 posts each signatory the `SigningRequest` object itself and reads
 `(transfer_id, SignResponse)` pairs from `inbox`. All job-state transitions
-are appended to a journal by `_write_journal` alone and mirrored into a
-record log, so a bridge can be killed at any transition point and rebuilt
-with `BridgeNode.restore` without ever double-delivering a transfer.
+are appended to a journal by `_write_journal` alone, which writes the job's
+record through to the store, so a bridge can be killed at any transition
+point and rebuilt with `BridgeNode.restore` without ever double-delivering a
+transfer.
 
 `jobs` maps each transfer id to its real job and is the only table that
 holds real job objects; `moving`, `queued` and `by_source_tx` hold transfer
@@ -31,17 +32,16 @@ instead of scanning the jobs. Forged jobs have their own list, visited every
 step; they skip the ordering rule, and the dest scan matches them from that
 list.
 
-The store is an append-only log of immutable job records (the job's fields
-as a tuple, `collected` as a tuple of pairs), appended by `_persist` next to
-each journal line and for each job `restore` resets. Indexes written with
-each record give each job's latest record, the live jobs (with the source tx
-hash of a parked one) and the stalled jobs' reasons, which the report lists.
-A crash image (`persisted`) shares the lines and records already written and
-serialises nothing. A restart costs time in the jobs that can act, not in the
-backlog or the history: `restore` files the parked jobs from the live index
-and thaws only the other live jobs and the forged jobs; every other job stays
-its record in `jobs` (a `_JobTable`) until read, e.g. as the unblocked queue
-head or by the dest scan matching its source hash.
+The store is the journal plus one immutable record per job (the job's
+fields as a tuple, `collected` as a tuple of pairs): `_persist` overwrites a
+job's record next to each journal line and for each job `restore` resets. A
+crash image (`persisted`) copies the references to the lines and records
+written so far and serialises nothing. A restart costs time in the jobs that
+can act, not in the backlog: `restore` files the parked jobs by reading
+their records' state and sent tx, and thaws only the other live jobs and the
+forged jobs; every other job stays its record in `jobs` (a `_JobTable`) until
+read, e.g. as the unblocked queue head or by the dest scan matching its
+source hash. The report reads the stall reasons from the records.
 """
 
 from __future__ import annotations
@@ -113,7 +113,11 @@ class TransferJob:
         return self.transfer.source_transfer_id
 
 
-_OTHER_FIELDS = attrgetter(*[f.name for f in fields(TransferJob)][:-1])
+_FIELDS = [f.name for f in fields(TransferJob)]
+_OTHER_FIELDS = attrgetter(*_FIELDS[:-1])
+# where restore and stalls read a record without thawing it
+_TRANSFER, _STATE, _SENT_TX, _STALL_REASON = map(
+    _FIELDS.index, ("transfer", "state", "submitted_tx", "stall_reason"))
 
 
 def _freeze(job: TransferJob) -> tuple:
@@ -128,15 +132,12 @@ def _thaw(record: tuple) -> TransferJob:
 
 
 class CrashImage(NamedTuple):
-    """What a crash leaves of a bridge: its journal and record log so far,
-    copies of the indexes into the log, its cursors, alarms and pause flag."""
+    """What a crash leaves of a bridge: its journal so far, each job's latest
+    record, its cursors, alarms and pause flag."""
 
     journal: tuple[str, ...]
-    log: tuple[tuple, ...]
-    at: dict[int, int]  # real id -> log position of its latest record
-    forged_at: dict[int, int]  # place in forged_jobs -> the same
-    live: dict[int, bytes | None]
-    stalled: dict[int, str]
+    records: dict[int, tuple]  # real id -> record, in job order
+    forged: dict[int, tuple]  # place in forged_jobs -> record
     source_cursor: int
     dest_cursor: int
     alarms: tuple[tuple, ...]
@@ -145,11 +146,11 @@ class CrashImage(NamedTuple):
 
 class _JobTable(UserDict):
     """``transfer_id -> TransferJob`` of a restored bridge. A job is held as
-    its latest log record until first read, then thawed in place, so every
-    read sees the same object in the same order as a plain dict would."""
+    its record until first read, then thawed in place, so every read sees
+    the same object in the same order as a plain dict would."""
 
-    def __init__(self, log: list[tuple], index: dict[int, int]):
-        self.data = {tid: log[at] for tid, at in index.items()}
+    def __init__(self, records: dict[int, tuple]):
+        self.data = dict(records)
 
     def __getitem__(self, tid: int) -> TransferJob:
         job = self.data[tid]
@@ -194,12 +195,9 @@ class BridgeNode:
             "dest": ChainStatus((dest_view.head_number(),
                                  dest_view.head_hash())),
         }
-        self._log: list[tuple] = []  # job records, appended by _persist alone
-        self._at: dict[int, int] = {}  # real id -> log position, in job order
-        self._forged_at: dict[int, int] = {}  # place in forged_jobs -> same
-        # live real ids, in order -> source tx hash if parked, else None
-        self._live: dict[int, bytes | None] = {}
-        self._stalled: dict[int, str] = {}  # stalled real ids -> stall reason
+        # job records, written by _persist alone
+        self._records: dict[int, tuple] = {}  # real id -> record, in job order
+        self._forged: dict[int, tuple] = {}  # place in forged_jobs -> record
 
     # -- journal / persistence ----------------------------------------------
 
@@ -216,9 +214,9 @@ class BridgeNode:
             f"{tick} | {job.transfer_id} | {from_state} -> {to_state} | {detail}")
         self._persist(job)
 
-    def _parked(self, job: TransferJob) -> bool:
-        return (job.state == "submitting" and not job.submitted_tx
-                and job.transfer_id != self.config.censor_transfer_id)
+    def _parked(self, tid: int, state: str, submitted_tx: bytes) -> bool:
+        return (state == "submitting" and not submitted_tx
+                and tid != self.config.censor_transfer_id)
 
     def _track(self, job: TransferJob) -> None:
         """File a real ``job``'s id in ``moving``, ``queued`` (and its heap)
@@ -235,7 +233,7 @@ class BridgeNode:
             carriers.add(tid)
         if carriers:
             self.by_source_tx[src_hash] = carriers
-        if self._parked(job):
+        if self._parked(tid, job.state, job.submitted_tx):
             if tid not in self.queued:
                 self.queued.add(tid)
                 heappush(self._heads, tid)
@@ -245,30 +243,19 @@ class BridgeNode:
                 self.moving.add(tid)
 
     def _persist(self, job: TransferJob) -> None:
-        """Append ``job``'s record to the log and point the indexes at it."""
-        at = len(self._log)
-        self._log.append(_freeze(job))
+        """Overwrite ``job``'s record with its current fields."""
         if job.forged:
             place = next(i for i, j in enumerate(self.forged_jobs) if j is job)
-            self._forged_at[place] = at
-            return
-        tid = job.transfer_id
-        self._at[tid] = at
-        if job.state in FINAL_STATES:
-            self._live.pop(tid, None)
-            if job.state == "stalled":
-                self._stalled[tid] = job.stall_reason
+            self._forged[place] = _freeze(job)
         else:
-            self._live[tid] = (job.transfer.source_transaction_hash
-                               if self._parked(job) else None)
+            self._records[job.transfer_id] = _freeze(job)
 
     @property
     def persisted(self) -> CrashImage:
         """The durable store as a crash would find it. It shares the lines
         and records written so far; later writes do not reach it."""
         return CrashImage(
-            tuple(self.journal), tuple(self._log), dict(self._at),
-            dict(self._forged_at), dict(self._live), dict(self._stalled),
+            tuple(self.journal), dict(self._records), dict(self._forged),
             self.source_cursor, self.dest_cursor, tuple(self.alarms),
             self.paused)
 
@@ -279,26 +266,28 @@ class BridgeNode:
         """Rebuild a bridge from its crash image. In-flight submissions are
         resubmitted; the destination adapter's processed map turns
         duplicates into AlreadyProcessed events. Only the live jobs that can
-        act and the forged jobs are thawed, and a record is appended only
+        act and the forged jobs are thawed, and a record is overwritten only
         for a job whose sent tx or signing request is reset here."""
         node = cls(config, source_view, dest_view, dest_chain, post)
-        node.journal, node._log, node.alarms = map(
-            list, (image.journal, image.log, image.alarms))
-        node._at, node._forged_at, node._live, node._stalled = map(
-            dict, (image.at, image.forged_at, image.live, image.stalled))
-        node.jobs = _JobTable(node._log, node._at)
-        node.forged_jobs = [_thaw(node._log[at])
-                            for at in node._forged_at.values()]
+        node.journal, node.alarms = list(image.journal), list(image.alarms)
+        node._records, node._forged = dict(image.records), dict(image.forged)
+        node.jobs = _JobTable(node._records)
+        node.forged_jobs = [_thaw(record) for record in node._forged.values()]
         node.source_cursor = image.source_cursor
         node.dest_cursor = image.dest_cursor
         node.paused = image.paused
         acting = []
-        for tid, src_hash in node._live.items():
-            if src_hash is None:
-                acting.append(node.jobs[tid])
-            else:  # parked: only the queue head can act, so thaw it later
+        for tid, record in node._records.items():
+            state = record[_STATE]
+            if state in FINAL_STATES:
+                continue
+            if node._parked(tid, state, record[_SENT_TX]):
+                # only the queue head can act, so thaw it later
                 node.queued.add(tid)
+                src_hash = record[_TRANSFER].source_transaction_hash
                 node.by_source_tx.setdefault(src_hash, set()).add(tid)
+            else:
+                acting.append(node.jobs[tid])
         node._heads = list(node.queued)
         heapify(node._heads)
         for job in acting + node.forged_jobs:
@@ -319,8 +308,10 @@ class BridgeNode:
 
     def stalls(self) -> list[list]:
         """``[transfer_id, stall_reason]`` of each stalled real job, read
-        from the stalled index, then of each stalled forged job."""
-        return [[tid, reason] for tid, reason in self._stalled.items()] + [
+        from its record, then of each stalled forged job."""
+        return [[tid, record[_STALL_REASON]]
+                for tid, record in self._records.items()
+                if record[_STATE] == "stalled"] + [
             [j.transfer_id, j.stall_reason] for j in self.forged_jobs
             if j.state == "stalled"]
 

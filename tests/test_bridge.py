@@ -145,19 +145,27 @@ class TestPipeline:
 
     def test_censored_id_stalls_while_blocked(self):
         # id 3 reaches submitting behind ids 0-2, which are still in progress
-        config = ScenarioConfig(
-            censor_transfer_id=3,
-            workload=[transfer_action(i, 1 + i // 5) for i in range(20)])
-        world, report = run(config)
-        moves = {}
-        for line in world.bridge.journal:
-            tick, tid, move, detail = [p.strip() for p in line.split("|")]
-            moves.setdefault((int(tid), move), (int(tick), detail))
-        entered, _ = moves[3, "collectingSignatures -> submitting"]
-        assert moves[3, "submitting -> stalled"] == (entered + 1,
-                                                      "censored by bridge")
-        assert moves[2, "submitting -> submitting"][0] > entered + 1
-        assert [d[0] for d in report.delivered] == [0, 1, 2]
+        workload = [transfer_action(i, 1 + i // 5) for i in range(20)]
+
+        def censored(extra):
+            world, report = run(ScenarioConfig(censor_transfer_id=3,
+                                               workload=workload + extra))
+            moves = {}
+            for line in world.bridge.journal:
+                tick, tid, move, detail = [p.strip() for p in line.split("|")]
+                moves.setdefault((int(tid), move), (int(tick), detail))
+            entered, _ = moves[3, "collectingSignatures -> submitting"]
+            assert moves[3, "submitting -> stalled"] == (entered + 1,
+                                                          "censored by bridge")
+            assert moves[2, "submitting -> submitting"][0] > entered + 1
+            assert [d[0] for d in report.delivered] == [0, 1, 2]
+            return entered, world.bridge.journal
+
+        entered, journal = censored([])
+        # a restart before the bridge's step in the next tick must not park
+        # id 3 with the jobs that wait for their turn
+        assert censored([{"tick": entered + 1, "action": "bridge_restart"}]) \
+            == (entered, journal)
 
     def test_censorship(self):
         config = ScenarioConfig(
@@ -285,8 +293,10 @@ class TestCrashRecovery:
             world.restart_bridge()
             bridge = world.bridge
             image = bridge.persisted
-            stored = {t: bridge_module._thaw(image.log[at])
-                      for t, at in image.at.items()}
+            # one record per job, each its job's latest version
+            assert len(image.records) == len(bridge.jobs)
+            stored = {t: bridge_module._thaw(record)
+                      for t, record in image.records.items()}
             assert stored == dict(bridge.jobs.items())
             assert not any(j.submitted_tx for j in stored.values()
                            if j.state == "submitting")
@@ -351,7 +361,7 @@ class TestCrashRecovery:
         world.restart_bridge()
         report = world.run()
         # the first restart thaws and resets job 0; the second files it
-        # from the live index as its record, and the old tx lands after that
+        # from its record without a thaw, and the old tx lands after that
         assert filed == [(True, False), (True, True)]
         assert [d[0] for d in report.delivered] == [0, 1, 2]
         processed = world.dest.get_events(
@@ -523,11 +533,13 @@ class TestWork:
             # every later job has its signatures and waits behind job 0
             assert world.bridge.queued == set(range(1, count))
             image = world.bridge.persisted
-            acting = sum(src_hash is None for src_hash in image.live.values())
-            assert acting == len(image.forged_at) == 1
+            acting = [t for t, record in image.records.items()
+                      if bridge_module._thaw(record).state not in FINAL_STATES
+                      and t not in world.bridge.queued]
+            assert len(acting) == len(image.forged) == 1
             calls = restart_work(monkeypatch, world)
             # job 0 and the forged job; no parked job, and no serialisation
-            assert calls == Counter(thaw=acting + len(image.forged_at))
+            assert calls == Counter(thaw=len(acting) + len(image.forged))
             return calls["thaw"]
 
         assert thaws(10) == thaws(20) == 2
