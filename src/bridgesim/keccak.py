@@ -23,6 +23,17 @@ makes a one-block hash about 1.5x faster than the same round driven by
 index tables, and about 2x faster than one that computes the offsets while
 it runs.
 
+Chi uses the overview's lane complementing transform (XKCP's
+"Bebigokimisa" pattern): lanes 1, 2, 8, 12, 17 and 20 are held complemented
+from load to store. Theta, rho and pi are linear, so the complements pass
+through them as flags, and with this pattern the NOT of most chi outputs
+``b0 ^ (~b1 & b2)`` cancels into ``b0 ^ (b1 | b2)`` or ``b0 ^ (b1 & b2)``;
+a round needs 8 NOTs instead of 25, and the pattern it stores is the one it
+loaded. Every NOT is written ``x ^ mask``, never ``~x``: ``~x`` is a negative
+Python int, ``&`` with a negative int takes a slower path than with two
+non-negative ones, and ``~b & c`` costs about twice ``b | c`` (64-bit lanes,
+CPython 3.11).
+
 `keccak256_many` runs W sponges through the same round at once (SIMD within
 a register: the overview's parallel instances, XKCP's ``KeccakP-1600-times4``).
 Each variable packs one lane of every message into a Python int, message k's
@@ -31,8 +42,10 @@ operation is mostly fixed, so W = 4 costs little more than W = 1. The
 rotation ``(x << r | x >> 64-r) & mask``, ``mask`` holding the 64 one bits
 of every slot, stays exact in each slot: a shift moves bits by less than 64,
 so those that leave a slot land in a zero gap, never in another lane, and
-the mask clears them. XOR, AND and NOT keep the gaps zero, and iota XORs the
-round constant repeated in every slot. At W = 1 this is the scalar round.
+the mask clears them. XOR, AND and OR of lanes with zero gaps have zero
+gaps, and so does a NOT, because ``^ mask`` flips only the 64 bits of each
+slot; iota XORs the round constant repeated in every slot. At W = 1 this is
+the scalar round.
 """
 
 import struct
@@ -59,12 +72,20 @@ def _permute(s: list, mask: int = _M, rcs: tuple = _ROUND_CONSTANTS) -> None:
     """Keccak-f[1600] on ``s`` (25 lanes, lane x + 5*y at index x + 5*y), in place.
 
     ``mask`` and ``rcs`` are those of `_width`; the defaults permute one state.
+    ``s`` holds plain lanes before and after: the complemented ones are
+    complemented on load and again on store.
     """
     (a00, a01, a02, a03, a04,
      a05, a06, a07, a08, a09,
      a10, a11, a12, a13, a14,
      a15, a16, a17, a18, a19,
      a20, a21, a22, a23, a24) = s
+    a01 ^= mask
+    a02 ^= mask
+    a08 ^= mask
+    a12 ^= mask
+    a17 ^= mask
+    a20 ^= mask
     for rc in rcs:
         # theta
         c0 = a00 ^ a05 ^ a10 ^ a15 ^ a20
@@ -103,37 +124,37 @@ def _permute(s: list, mask: int = _M, rcs: tuple = _ROUND_CONSTANTS) -> None:
         b22 = ((t := a14 ^ d4) << 39 | t >> 25) & mask
         b23 = ((t := a15 ^ d0) << 41 | t >> 23) & mask
         b24 = ((t := a21 ^ d1) << 2 | t >> 62) & mask
-        # chi, with iota on lane 0
-        a00 = b00 ^ (~b01 & b02) ^ rc
-        a01 = b01 ^ (~b02 & b03)
-        a02 = b02 ^ (~b03 & b04)
-        a03 = b03 ^ (~b04 & b00)
-        a04 = b04 ^ (~b00 & b01)
-        a05 = b05 ^ (~b06 & b07)
-        a06 = b06 ^ (~b07 & b08)
-        a07 = b07 ^ (~b08 & b09)
-        a08 = b08 ^ (~b09 & b05)
-        a09 = b09 ^ (~b05 & b06)
-        a10 = b10 ^ (~b11 & b12)
-        a11 = b11 ^ (~b12 & b13)
-        a12 = b12 ^ (~b13 & b14)
-        a13 = b13 ^ (~b14 & b10)
-        a14 = b14 ^ (~b10 & b11)
-        a15 = b15 ^ (~b16 & b17)
-        a16 = b16 ^ (~b17 & b18)
-        a17 = b17 ^ (~b18 & b19)
-        a18 = b18 ^ (~b19 & b15)
-        a19 = b19 ^ (~b15 & b16)
-        a20 = b20 ^ (~b21 & b22)
-        a21 = b21 ^ (~b22 & b23)
-        a22 = b22 ^ (~b23 & b24)
-        a23 = b23 ^ (~b24 & b20)
-        a24 = b24 ^ (~b20 & b21)
-    s[:] = (a00, a01, a02, a03, a04,
-            a05, a06, a07, a08, a09,
-            a10, a11, a12, a13, a14,
-            a15, a16, a17, a18, a19,
-            a20, a21, a22, a23, a24)
+        # chi on the complemented lanes, with iota on lane 0
+        a00 = b00 ^ (b01 | b02) ^ rc
+        a01 = b01 ^ ((b02 ^ mask) | b03)
+        a02 = b02 ^ (b03 & b04)
+        a03 = b03 ^ (b04 | b00)
+        a04 = b04 ^ (b00 & b01)
+        a05 = b05 ^ (b06 | b07)
+        a06 = b06 ^ (b07 & b08)
+        a07 = b07 ^ (b08 | (b09 ^ mask))
+        a08 = b08 ^ (b09 | b05)
+        a09 = b09 ^ (b05 & b06)
+        a10 = b10 ^ (b11 | b12)
+        a11 = b11 ^ (b12 & b13)
+        a12 = b12 ^ ((b13 ^ mask) & b14)
+        a13 = b13 ^ (b14 | b10) ^ mask
+        a14 = b14 ^ (b10 & b11)
+        a15 = b15 ^ (b16 & b17)
+        a16 = b16 ^ (b17 | b18)
+        a17 = b17 ^ ((b18 ^ mask) | b19)
+        a18 = b18 ^ (b19 & b15) ^ mask
+        a19 = b19 ^ (b15 | b16)
+        a20 = b20 ^ ((b21 ^ mask) & b22)
+        a21 = b21 ^ (b22 | b23) ^ mask
+        a22 = b22 ^ (b23 & b24)
+        a23 = b23 ^ (b24 | b20)
+        a24 = b24 ^ (b20 & b21)
+    s[:] = (a00, a01 ^ mask, a02 ^ mask, a03, a04,
+            a05, a06, a07, a08 ^ mask, a09,
+            a10, a11, a12 ^ mask, a13, a14,
+            a15, a16, a17 ^ mask, a18, a19,
+            a20 ^ mask, a21, a22, a23, a24)
 
 
 def _pad(data: bytes) -> bytes:

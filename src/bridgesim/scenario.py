@@ -381,6 +381,9 @@ class World:
         self.inboxes: dict[str, list] = {}
         self.config_alarm_log: list = []
         self._monitor_cursor = {"source": 0, "dest": 0}
+        # (chain, field) changes the config monitor does not alarm on
+        self._expected_config_changes = {
+            tuple(e) for e in config.expected_config_changes}
 
         self.source = Chain(ChainConfig(**config.source))
         self.dest = Chain(ChainConfig(**config.dest))
@@ -489,7 +492,6 @@ class World:
                     self.post("bridge", (req.transfer.source_transfer_id, resp))
 
     def _run_config_monitor(self) -> None:
-        expected = {tuple(e) for e in self.config.expected_config_changes}
         for name, chain in self.chains.items():
             head = chain.head_number()
             start = self._monitor_cursor[name] + 1
@@ -499,7 +501,7 @@ class World:
             for ev in chain.get_events(self.adapters[name].address,
                                        "ConfigChanged", start, head):
                 fieldname = event_attr(ev, "field").decode()
-                if (name, fieldname) in expected:
+                if (name, fieldname) in self._expected_config_changes:
                     continue
                 self.config_alarm_log.append(
                     ["config", name, ev.block_number, fieldname])

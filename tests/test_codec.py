@@ -31,7 +31,7 @@ from bridgesim.codec import (
     selector,
 )
 
-from bridgesim.keccak import _permute, _width, keccak256_many
+from bridgesim.keccak import _M, _permute, _width, keccak256_many
 
 from keccak_ref import _keccak_f, keccak256_ref
 
@@ -118,6 +118,29 @@ class TestHashes:
             _permute(s)
         assert packed == [sum(s[i] << 128 * k for k, s in enumerate(states))
                           for i in range(25)]
+
+    @pytest.mark.parametrize("w", [1, 2, 5, 17])
+    def test_permutation_edge_states(self, w):
+        # states random lanes rarely reach: all ones, all zeros, and one set
+        # bit at each end of each lane. Packed, the edge state sits in every
+        # even slot (the lowest and, at odd w, the highest) and each odd slot
+        # is all ones, so a NOT or a mask that leaks shows in the gaps
+        ones = [_M] * 25
+        edges = [ones, [0] * 25] + [
+            [1 << bit if i == lane else 0 for i in range(25)]
+            for lane in range(25) for bit in (0, 63)]
+        mask, rcs = _width(w)
+        for edge in edges:
+            states = [edge if k % 2 == 0 else ones for k in range(w)]
+            packed = [sum(s[i] << 128 * k for k, s in enumerate(states))
+                      for i in range(25)]
+            _permute(packed, mask, rcs)
+            expected = [_keccak_f([[s[x + 5 * y] for y in range(5)]
+                                   for x in range(5)]) for s in states]
+            assert packed == [sum(e[i % 5][i // 5] << 128 * k
+                                  for k, e in enumerate(expected))
+                              for i in range(25)]
+            assert all(lane >= 0 and lane & ~mask == 0 for lane in packed)
 
     @given(st.lists(
         st.one_of(st.sampled_from([0, 1, 135, 136, 271, 272]),
