@@ -3,15 +3,25 @@
     python3 scripts/keccak_rate.py             # W = 1, 2, 5, 16; 11 repetitions
     python3 scripts/keccak_rate.py --reps 3    # a quick smoke run
 
-For each width W it prints the microseconds of one `keccak._permute` call on
-W packed states and of `keccak256_many` per message, on batches of W
-one-block messages of 56 bytes (an empty block's hash preimage: number,
-parent hash, tick, salt); at W = 1 `keccak256_many` hands its message to the
-scalar `keccak256`. Each figure is the median over the repetitions; every
-repetition times all widths, in reverse order on odd repetitions, so a drift
-in the host's speed spreads over the widths instead of landing on one. It is
-a measurement, not a gate: the exit status is 1 only if a batch's digests
-differ from `keccak256` one message at a time.
+For each width W it prints the microseconds of:
+
+- one `keccak._permute` call on W packed states (and that per state);
+- `keccak256_many` per message, on batches of W one-block messages of 56
+  bytes (an empty block's hash preimage: number, parent hash, tick, salt)
+  and of W two-block messages of 200 bytes (the size of a tx or an event
+  preimage); at W = 1 `keccak256_many` hands its message to the scalar
+  `keccak256`;
+- one block hash over W txs and W events: the W 200-byte event preimages
+  and a header of 56 + 32 W bytes followed by their digests, hashed by
+  `keccak256_after` (``header_us``, the header's whole blocks riding in the
+  events' permutations) and by `keccak256_many` then `keccak256`
+  (``plain_us``).
+
+Each figure is the median over the repetitions; every repetition times all
+widths, in reverse order on odd repetitions, so a drift in the host's speed
+spreads over the widths instead of landing on one. It is a measurement, not
+a gate: the exit status is 1 only if a digest differs from `keccak256` of
+one message at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +35,10 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WIDTHS = (1, 2, 5, 16)
-MESSAGE_BYTES = 56
+SHORT, LONG = 56, 200  # message bytes: one block, two blocks
 CALLS = 50  # timed per repetition and width
+COLUMNS = ("permute_us", "per_state_us", "message_us", "message200_us",
+           "header_us", "plain_us")
 
 
 def per_call(fn, number: int) -> float:
@@ -46,35 +58,51 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from bridgesim import keccak
 
+    def plain(prefix, datas):
+        digests = keccak.keccak256_many(datas)
+        return digests, keccak.keccak256(prefix + b"".join(digests))
+
     rng = random.Random(7)
-    states, batches = {}, {}
+    states, short, long, prefix = {}, {}, {}, {}
     for w in WIDTHS:
         mask = keccak._width(w)[0]
         states[w] = [rng.getrandbits(128 * w) & mask for _ in range(25)]
-        batches[w] = [rng.randbytes(MESSAGE_BYTES) for _ in range(w)]
-        if keccak.keccak256_many(batches[w]) != [
-                keccak.keccak256(m) for m in batches[w]]:
-            print(f"W={w}: keccak256_many differs from keccak256")
+        short[w] = [rng.randbytes(SHORT) for _ in range(w)]
+        long[w] = [rng.randbytes(LONG) for _ in range(w)]
+        prefix[w] = rng.randbytes(SHORT + 32 * w)
+        one_at_a_time = [keccak.keccak256(m) for m in long[w]]
+        header = keccak.keccak256(prefix[w] + b"".join(one_at_a_time))
+        if (keccak.keccak256_many(short[w]) != [
+                keccak.keccak256(m) for m in short[w]]
+                or keccak.keccak256_many(long[w]) != one_at_a_time
+                or keccak.keccak256_after(prefix[w], long[w]) != (
+                    one_at_a_time, header)):
+            print(f"W={w}: a batch differs from keccak256")
             return 1
 
-    permute = {w: [] for w in WIDTHS}
-    message = {w: [] for w in WIDTHS}
+    times = {w: {c: [] for c in COLUMNS if c != "per_state_us"}
+             for w in WIDTHS}
     for rep in range(args.reps):
         for w in WIDTHS if rep % 2 == 0 else WIDTHS[::-1]:
             mask, rcs = keccak._width(w)
             s = list(states[w])
-            permute[w].append(per_call(
+            t = times[w]
+            t["permute_us"].append(per_call(
                 lambda: keccak._permute(s, mask, rcs), CALLS))
-            batch = batches[w]
-            message[w].append(per_call(
-                lambda: keccak.keccak256_many(batch), CALLS) / w)
+            for column, batch in (("message_us", short[w]),
+                                  ("message200_us", long[w])):
+                t[column].append(per_call(
+                    lambda: keccak.keccak256_many(batch), CALLS) / w)
+            for column, fn in (("header_us", keccak.keccak256_after),
+                               ("plain_us", plain)):
+                t[column].append(per_call(
+                    lambda: fn(prefix[w], long[w]), CALLS))
 
-    print(f"{'W':>3} {'permute_us':>11} {'per_state_us':>13} "
-          f"{'message_us':>11}")
+    print(f"{'W':>3}" + "".join(f" {c:>13}" for c in COLUMNS))
     for w in WIDTHS:
-        p = statistics.median(permute[w])
-        print(f"{w:>3} {p:>11.1f} {p / w:>13.1f} "
-              f"{statistics.median(message[w]):>11.1f}")
+        med = {c: statistics.median(v) for c, v in times[w].items()}
+        med["per_state_us"] = med["permute_us"] / w
+        print(f"{w:>3}" + "".join(f" {med[c]:>13.1f}" for c in COLUMNS))
     return 0
 
 

@@ -103,6 +103,7 @@ class TransferJob:
     submitted_payload: bytes = b""
     submitted_tx: bytes = b""
     processed_block: int | None = None
+    processed_tx: bytes = b""  # the dest tx that emitted Processed
     stall_reason: str = ""
     forged: bool = False
     # pubkey -> signature; the last field, as _freeze and _thaw expect
@@ -417,6 +418,7 @@ class BridgeNode:
                     self.inflight = None
                 if ev.name == "Processed":
                     job.processed_block = ev.block_number
+                    job.processed_tx = ev.tx_hash
                     self._transition(tick, job, "awaitingDestFinality",
                                      f"processed at {ev.block_number}")
                 else:
@@ -570,9 +572,18 @@ class BridgeNode:
         return tx.tx_hash
 
     def _advance_dest_finality(self, job: TransferJob, tick: int) -> None:
+        """``done`` at dest finality, or back to ``submitting`` if a dest
+        reorg dropped the tx that emitted ``Processed``."""
         conf = self.dest_view.head_number() - (job.processed_block or 0)
-        if conf >= self.config.dest_finality:
-            self._transition(tick, job, "done", f"{conf} confirmations")
+        if conf < self.config.dest_finality:
+            return
+        if self.dest_view.get_receipt(job.processed_tx) is None:
+            job.submitted_tx = b""
+            self._transition(tick, job, "submitting",
+                             f"tx {job.processed_tx.hex()[:16]} left the "
+                             "dest chain")
+            return
+        self._transition(tick, job, "done", f"{conf} confirmations")
 
     # -- byzantine behaviors -------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .codec import HASH_ALGS, hash_bytes, hash_many
+from .codec import HASH_ALGS, hash_after, hash_bytes, hash_many
 
 ZERO32 = b"\x00" * 32
 _ABSENT = object()  # undo-log prior value of a key that did not exist
@@ -274,13 +274,13 @@ class Chain:
                           _tx_preimage(sender, recipient, payload, value, seq))
 
     def _block_hash(self, number, parent_hash, tick, salt, txs, events) -> bytes:
-        parts = [number.to_bytes(8, "big"), parent_hash,
-                 tick.to_bytes(8, "big"), salt.to_bytes(8, "big")]
-        parts.extend(t.tx_hash for t in txs)
-        if events:
-            parts.extend(hash_many(self.config.hash_alg,
-                                   [_event_preimage(e) for e in events]))
-        return hash_bytes(self.config.hash_alg, b"".join(parts))
+        """Hash of number, parent hash, tick, salt, the tx hashes and the
+        event hashes, concatenated."""
+        prefix = b"".join([number.to_bytes(8, "big"), parent_hash,
+                           tick.to_bytes(8, "big"), salt.to_bytes(8, "big"),
+                           *[t.tx_hash for t in txs]])
+        return hash_after(self.config.hash_alg, prefix,
+                          [_event_preimage(e) for e in events])[1]
 
     # -- core operations -----------------------------------------------------
 

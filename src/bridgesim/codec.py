@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .keccak import keccak256, keccak256_many
+from .keccak import keccak256, keccak256_after, keccak256_many
 
 WORD = 32
 SIGNATURE_LEN = 64
@@ -67,6 +67,18 @@ def hash_many(alg: str, datas: list[bytes]) -> list[bytes]:
     if alg == "keccak256":
         return keccak256_many(datas)
     return [hash_bytes(alg, data) for data in datas]
+
+
+def hash_after(alg: str, prefix: bytes,
+               datas: list[bytes]) -> tuple[list[bytes], bytes]:
+    """``(digests, header)``: ``digests`` is `hash_many` of ``datas`` and
+    ``header`` the `hash_bytes` of ``prefix`` followed by those digests.
+    Keccak absorbs the whole blocks of ``prefix`` in the permutations that
+    hash ``datas``."""
+    if alg == "keccak256":
+        return keccak256_after(prefix, datas)
+    digests = hash_many(alg, datas)
+    return digests, hash_bytes(alg, prefix + b"".join(digests))
 
 
 def parse_signature(signature: str) -> tuple[str, list[str]]:

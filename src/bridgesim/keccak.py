@@ -45,7 +45,17 @@ so those that leave a slot land in a zero gap, never in another lane, and
 the mask clears them. XOR, AND and OR of lanes with zero gaps have zero
 gaps, and so does a NOT, because ``^ mask`` flips only the 64 bits of each
 slot; iota XORs the round constant repeated in every slot. At W = 1 this is
-the scalar round.
+the scalar round. A packed lane is absorbed as one ``struct`` pack of its W
+lanes, each followed by 8 zero bytes (``"<" + "Q8x" * W``), and a digest
+lane is read back with the same format.
+
+`keccak256_after` hashes a batch and then a header: a prefix followed by
+the batch's digests, as a block hash covers its tx and event hashes. The
+prefix's whole blocks are known before any digest is, so they ride in one
+more slot of the longest group's packed permutations, one block per
+permutation, and the header sponge goes on from that slot at W = 1. A
+slot costs little next to a permutation, so each ridden block saves about
+one W = 1 permutation.
 """
 
 import struct
@@ -65,7 +75,6 @@ _M = (1 << 64) - 1
 _RATE = 136  # bytes, for capacity 512
 _unpack_block = struct.Struct("<17Q").unpack_from  # the 17 rate lanes
 _pack_digest = struct.Struct("<4Q").pack  # the first 4 lanes, 32 bytes
-_ZERO_LANE = bytes(8)  # the gap above each packed lane
 
 
 def _permute(s: list, mask: int = _M, rcs: tuple = _ROUND_CONSTANTS) -> None:
@@ -163,14 +172,18 @@ def _pad(data: bytes) -> bytes:
     return data + (b"\x81" if pad == 1 else b"\x01" + bytes(pad - 2) + b"\x80")
 
 
-def keccak256(data: bytes) -> bytes:
-    """Keccak-256 digest of ``data`` (0x01 domain padding)."""
-    data = _pad(data)
-    s = [0] * 25
-    for off in range(0, len(data), _RATE):
-        s[:17] = map(xor, s, _unpack_block(data, off))
+def _squeeze(s: list, padded: bytes, start: int = 0) -> bytes:
+    """Absorb the blocks of ``padded`` from byte ``start`` into the one state
+    ``s``; the digest."""
+    for off in range(start, len(padded), _RATE):
+        s[:17] = map(xor, s, _unpack_block(padded, off))
         _permute(s)
     return _pack_digest(*s[:4])
+
+
+def keccak256(data: bytes) -> bytes:
+    """Keccak-256 digest of ``data`` (0x01 domain padding)."""
+    return _squeeze([0] * 25, _pad(data))
 
 
 @lru_cache(maxsize=None)
@@ -180,29 +193,68 @@ def _width(w: int) -> tuple[int, tuple]:
     return _M * spread, tuple(rc * spread for rc in _ROUND_CONSTANTS)
 
 
-def keccak256_many(datas) -> list[bytes]:
-    """Keccak-256 digest of each of ``datas``, in order.
+@lru_cache(maxsize=None)
+def _slots(w: int) -> struct.Struct:
+    """``w`` lanes, each followed by its 8-byte zero gap: one packed lane."""
+    return struct.Struct("<" + "Q8x" * w)
 
-    Messages of the same padded length are hashed side by side, one packed
-    permutation per block; a message alone at its length goes to `keccak256`.
-    """
-    out = [b""] * len(datas)
+
+def _hash_groups(datas, out: list,
+                 prefix: bytes = b"") -> tuple[list | None, int]:
+    """Write the digest of each of ``datas`` to ``out``. Messages of the same
+    padded length are hashed side by side, one packed permutation per block;
+    a message alone at its length goes to `keccak256`.
+
+    The whole blocks at the start of ``prefix`` ride in the longest group, in
+    one more slot, for as many blocks as that group has. Returns that slot's
+    state after its last block and the number of blocks it absorbed
+    (None and 0 if none rode)."""
     groups: dict[int, list[int]] = {}
     for i, data in enumerate(datas):
         groups.setdefault(len(data) // _RATE, []).append(i)
-    for idx in groups.values():
-        if len(idx) == 1:
+    rider = max(groups) if groups and len(prefix) >= _RATE else -1
+    head, rode = None, 0
+    for blocks, idx in groups.items():
+        padded = [_pad(datas[i]) for i in idx]
+        if blocks == rider:
+            rode = min(len(prefix) // _RATE, blocks + 1)
+            padded.append(prefix[:rode * _RATE].ljust(len(padded[0]), b"\0"))
+        elif len(idx) == 1:
             out[idx[0]] = keccak256(datas[idx[0]])
             continue
-        mask, rcs = _width(len(idx))
-        padded = [_pad(datas[i]) for i in idx]
+        w = len(padded)
+        mask, rcs = _width(w)
+        slots = _slots(w)
         s = [0] * 25
-        for off in range(0, len(padded[0]), _RATE):
-            s[:17] = [a ^ int.from_bytes(b"".join([p[o:o + 8] + _ZERO_LANE
-                                                   for p in padded]), "little")
-                      for a, o in zip(s, range(off, off + _RATE, 8))]
+        for n, off in enumerate(range(0, len(padded[0]), _RATE), 1):
+            s[:17] = [a ^ int.from_bytes(slots.pack(*lanes), "little")
+                      for a, lanes in zip(s, zip(*[_unpack_block(p, off)
+                                                  for p in padded]))]
             _permute(s, mask, rcs)
-        lanes = [x.to_bytes(16 * len(idx), "little") for x in s[:4]]
-        for k, i in enumerate(idx):
-            out[i] = b"".join([lane[16 * k:16 * k + 8] for lane in lanes])
+            if n == rode and blocks == rider:
+                top = 128 * (w - 1)  # the rider's slot, with no bits above
+                head = [x >> top for x in s]
+        digests = [slots.unpack(x.to_bytes(16 * w, "little")) for x in s[:4]]
+        for i, lanes in zip(idx, zip(*digests)):
+            out[i] = _pack_digest(*lanes)
+    return head, rode
+
+
+def keccak256_many(datas) -> list[bytes]:
+    """Keccak-256 digest of each of ``datas``, in order."""
+    out = [b""] * len(datas)
+    _hash_groups(datas, out)
     return out
+
+
+def keccak256_after(prefix: bytes, datas) -> tuple[list[bytes], bytes]:
+    """``(digests, header)``: ``digests`` is `keccak256_many` of ``datas`` and
+    ``header`` the Keccak-256 of ``prefix`` followed by those digests. The
+    header's first whole blocks come from ``prefix`` alone, so they are
+    absorbed in the digests' packed permutations; the rest at W = 1."""
+    out = [b""] * len(datas)
+    head, rode = _hash_groups(datas, out, prefix)
+    header = prefix + b"".join(out)
+    if not rode:
+        return out, keccak256(header)
+    return out, _squeeze(head, _pad(header), rode * _RATE)

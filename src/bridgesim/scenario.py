@@ -62,6 +62,7 @@ from .signatory import BEHAVIOR_MODES, Signatory
 # `ScenarioConfig` checks itself against `FIELDS`.
 
 ATTACKERS = 4  # attacker keypairs a scenario can sign with
+RELAY_TX = re.compile("relay:[0-9]+")  # the relay's processTransfer tx of an id
 U16, U64, U128, U256 = (range(1 << n) for n in (16, 64, 128, 256))
 CHAIN = ("source", "dest")
 _REQUIRED: dict[int, set] = {}  # memo: id of a dict spec -> its required keys
@@ -203,9 +204,15 @@ def _call(v, cfg):
             return f".args[{i}]{err}"
 
 
+def _dropped(v, cfg):
+    """a request_transfer label, or "relay:<id>" (the relay's tx for id)"""
+    if type(v) is not str:
+        return f" must be {_dropped.__doc__}, not {_brief(v)}"
+
+
 def _workload(v, cfg):
     """a list of actions at ticks up to max_ticks; a reorg drops only the
-    labels of earlier request_transfer actions"""
+    labels of earlier request_transfer actions and relay txs"""
     if err := _error([ACTIONS], v, cfg):
         return err
     labels = {}  # label -> (tick, index) of its first request_transfer
@@ -213,10 +220,14 @@ def _workload(v, cfg):
         if a["tick"] > cfg.max_ticks:
             return f"[{i}].tick must be at most max_ticks, not {a['tick']}"
         if "label" in a:
+            if RELAY_TX.fullmatch(a["label"]):
+                return f"[{i}].label {a['label']!r} names a relay tx"
             labels[a["label"]] = min(labels.get(a["label"], (inf,)),
                                      (a["tick"], i))
     for i, a in enumerate(v):
         for label in a.get("drop", ()):
+            if RELAY_TX.fullmatch(label):
+                continue
             if labels.get(label, (inf,)) > (a["tick"], i):
                 return (f"[{i}].drop names {label!r}, which no earlier "
                         "request_transfer labels")
@@ -253,7 +264,8 @@ ACTIONS = Pick("action", {
         recipient=(str, "storage"), call=(_call, ...), gas=(U64, 21000),
         value=(U256, None), label=(str, None)),
     "inject_reorg": _action(chain=(CHAIN, "source"),
-                            depth=(range(1, 1 << 64), ...), drop=([str], ())),
+                            depth=(range(1, 1 << 64), ...),
+                            drop=([_dropped], ())),
     "faulty_view": _action(
         target=(("bridge", _signatory_name), ...), chain=(CHAIN, "source"),
         corruption=(CORRUPTION, ...)),
@@ -466,6 +478,10 @@ class World:
             post=self.post,
         )
         self._workload = sorted(config.workload, key=lambda a: (a["tick"],))
+        # quiescent ticks after which `run` stops, twice that while paused
+        self.grace = (config.sign_timeout_ticks * (config.max_retries + 2)
+                      + self.source.config.finality_depth
+                      + self.dest.config.finality_depth + 10)
 
     # -- scheduler plumbing --------------------------------------------------
 
@@ -563,8 +579,19 @@ class World:
                 self.labels[label] = tx.tx_hash
 
     def _do_inject_reorg(self, a: dict) -> None:
-        drop = {self.labels[label] for label in a["drop"]}
+        drop = {self._dropped_tx(name) for name in a["drop"]}
         self.chains[a["chain"]].inject_reorg(a["depth"], drop)
+
+    def _dropped_tx(self, name: str) -> bytes:
+        """The tx a reorg's ``drop`` names: a labelled request's, or for
+        ``relay:<id>`` the processTransfer tx the relay last sent for id."""
+        if not RELAY_TX.fullmatch(name):
+            return self.labels[name]
+        job = self.bridge.jobs.get(int(name[6:]))
+        if job is None or not job.submitted_tx:
+            raise InvalidReorg(f"drop names {name}, and the relay has no "
+                               "tx out for that id")
+        return job.submitted_tx
 
     def _corruption_from(self, spec: dict) -> ViewCorruption:
         spec = _with_defaults(CORRUPTION, spec)
@@ -725,27 +752,27 @@ class World:
         self.bridge.step(self.tick)
 
     def quiescent(self) -> bool:
+        """Nothing is pending: no workload action, message or tx, and the
+        relay is paused (only a workload ``resume`` moves its jobs) or has
+        no live job."""
         if self._workload or self.bus or self.source.pending or self.dest.pending:
             return False
         if any(self.inboxes.values()):
             return False
-        return not (self.bridge.moving or self.bridge.queued) and all(
+        return self.bridge.paused or not (
+            self.bridge.moving or self.bridge.queued) and all(
             j.state in ("done", "stalled") for j in self.bridge.forged_jobs)
 
     def run(self, on_tick=None) -> ScenarioReport:
-        cfg = self.config
-        grace = (cfg.sign_timeout_ticks * (cfg.max_retries + 2)
-                 + self.source.config.finality_depth
-                 + self.dest.config.finality_depth + 10)
         quiet = 0
-        while self.tick < cfg.max_ticks:
+        while self.tick < self.config.max_ticks:
             self.step()
             if on_tick is not None:
                 on_tick(self, self.tick)
             quiet = quiet + 1 if self.quiescent() else 0
-            if quiet >= grace and not self.bridge.paused:
+            if quiet >= self.grace and not self.bridge.paused:
                 break
-            if quiet >= 2 * grace:
+            if quiet >= 2 * self.grace:
                 break  # paused bridge with nothing else pending
         return self.build_report()
 

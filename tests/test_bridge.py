@@ -6,9 +6,11 @@ import pickle
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import bridgesim.bridge as bridge_module
 from bridgesim import ScenarioConfig, World, contract_address
+from bridgesim.adapter import event_attr
 from bridgesim.bridge import FINAL_STATES, BridgeNode, TransferJob
 
 
@@ -438,6 +440,68 @@ class TestCrashRecovery:
         moves = [l.split("|")[2].strip() for l in world.bridge.journal]
         assert "detected -> awaitingFinality" in moves
         assert any(m.endswith("-> done") for m in moves)
+
+
+DEST_DROP = Path(__file__).parents[1] / "scenarios" / "dest_drop_relay_tx.json"
+
+
+def dest_drop(*extra):
+    """The dest_drop_relay_tx scenario, ``extra`` actions added: at tick 12
+    a depth-1 dest reorg drops the tx that processed transfer 0 at tick 11."""
+    config = ScenarioConfig.from_json(DEST_DROP.read_text())
+    return replace(config, workload=[*config.workload, *extra])
+
+
+def processed(world, tid):
+    """The canonical Processed events of transfer ``tid``."""
+    return [ev for ev in world.dest.get_events(
+        world.adapters["dest"].address, "Processed", 0,
+        world.dest.head_number())
+        if int.from_bytes(event_attr(ev, "transferId"), "big") == tid]
+
+
+class TestDestReorg:
+    def test_dropped_relay_tx_is_sent_again_at_dest_finality(self):
+        world, report = run(dest_drop())
+        moves = [line for line in world.bridge.journal if " | 0 | " in line]
+        assert [m.split(" | ")[2] for m in moves[-5:]] == [
+            "submitting -> awaitingDestFinality",
+            "awaitingDestFinality -> submitting",
+            "submitting -> submitting",
+            "submitting -> awaitingDestFinality",
+            "awaitingDestFinality -> done"]
+        # sent back at dest finality, not at the reorg
+        assert moves[-4].startswith("16 | ")
+        assert moves[-4].endswith("left the dest chain")
+        (event,) = processed(world, 0)
+        assert world.dest.get_receipt(event.tx_hash).status == "ok"
+        assert [d[0] for d in report.delivered] == [0]
+        assert report.violations == []
+
+    def test_restart_between_reorg_and_dest_finality_delivers_once(self):
+        world, report = run(dest_drop({"tick": 14, "action": "bridge_restart"}))
+        assert any(line.startswith("16 | 0 | awaitingDestFinality -> "
+                                   "submitting")
+                   for line in world.bridge.journal)
+        assert [d[0] for d in report.delivered] == [0]
+        assert len(processed(world, 0)) == 1
+        # every job the relay calls done has a canonical Processed
+        for tid, job in world.bridge.jobs.items():
+            if job.state == "done":
+                (event,) = processed(world, tid)
+                assert world.dest.get_receipt(event.tx_hash).status == "ok"
+        unbroken = run(dest_drop())[1]
+        assert (report.delivered, report.stalls) == (unbroken.delivered,
+                                                     unbroken.stalls)
+
+    def test_reorg_that_replays_the_relay_tx_changes_nothing(self):
+        replayed = replace(dest_drop(), workload=[
+            {**a, "drop": []} if a["action"] == "inject_reorg" else a
+            for a in dest_drop().workload])
+        world, report = run(replayed)
+        assert not any("left the dest chain" in line
+                       for line in world.bridge.journal)
+        assert [d[0] for d in report.delivered] == [0, 1, 2, 3, 4]
 
 
 class TestWork:

@@ -26,12 +26,19 @@ from bridgesim.codec import (
     SIGNATURE_LEN,
     SIGNED_MEMO_SIZE,
     decode_function_call,
+    hash_after,
     hash_bytes,
     parse_signature,
     selector,
 )
 
-from bridgesim.keccak import _M, _permute, _width, keccak256_many
+from bridgesim.keccak import (
+    _M,
+    _permute,
+    _width,
+    keccak256_after,
+    keccak256_many,
+)
 
 from keccak_ref import _keccak_f, keccak256_ref
 
@@ -152,6 +159,30 @@ class TestHashes:
     def test_keccak_many_matches_one_at_a_time(self, datas):
         # ragged batches: groups of equal padded length and lone messages
         assert keccak256_many(datas) == [keccak256(d) for d in datas]
+
+    @pytest.mark.parametrize("prefix_len", [0, 120, 136, 137, 248, 376, 408])
+    def test_header_after_digests_matches_reference(self, prefix_len):
+        # a prefix of 0, 1, 2 or 3 whole blocks, and 0-7 preimages of one
+        # padded length (1 or 2 blocks) or of mixed ones, lone ones included
+        rng = random.Random(prefix_len)
+        prefix = rng.randbytes(prefix_len)
+        mixed = [0, 135, 136, 200, 271, 272, 500]
+        for n in range(8):
+            for sizes in ([56] * n, [200] * n, mixed[:n], mixed[n - 1::-1]):
+                datas = [rng.randbytes(size) for size in sizes]
+                digests, header = keccak256_after(prefix, datas)
+                expected = [keccak256_ref(d) for d in datas]
+                assert digests == expected, (n, sizes)
+                assert header == keccak256_ref(
+                    prefix + b"".join(expected)), (n, sizes)
+                assert hash_after("keccak256", prefix, datas) == (
+                    digests, header)
+
+    def test_header_after_digests_blake2b(self):
+        datas = [b"a" * 200, b"b" * 56]
+        digests, header = hash_after("blake2b256", b"p" * 152, datas)
+        assert digests == [blake2b256(d) for d in datas]
+        assert header == blake2b256(b"p" * 152 + b"".join(digests))
 
     def test_blake2b_is_stdlib(self):
         data = b"cross-check"

@@ -48,6 +48,8 @@ GOLDEN = {
         "7360e4045a989a74a48cf4a6056ffeed42505211c2ceaa84472057f7d25c09b8",
     "relay_restarts":
         "9eb7bdd911e61c67e5fb0e3f4ca1139d76b06394627e7c12f68afb5f0c58931b",
+    "dest_drop_relay_tx":
+        "fddae2e5a70292b8c34c99b55fc028d42be10ba6c438c01b4c788e63bd4886d5",
 }
 
 SUITE_GOLDEN = {
@@ -60,7 +62,7 @@ SUITE_GOLDEN = {
     "dest_infra":
         "e07b518d56e0c5ba7e69c45b5209f7ea7716af03c56f4051c1625ba049d9fdd9",
     "adapter_source_attack":
-        "f88ef9db80ac11572afb060d86a3446c4fd8ef229c9a1a4290505c6af3ab3560",
+        "f38c6d4e839f06f9e983594b332eea804a181cea24648b86a76c55e9c30dec26",
     "adapter_dest_attack":
         "5f39f06978ad14beca83869a829ce1cb51c20a3280cc7f45e1e021db7a5057d2",
     "bridge_forge":
@@ -103,6 +105,14 @@ def test_relay_restarts_file():
     path = Path(__file__).parents[1] / "scenarios" / "relay_restarts.json"
     config = ScenarioConfig.from_json(path.read_text())
     assert digest(config) == GOLDEN["relay_restarts"]
+
+
+def test_dest_drop_relay_tx_file():
+    # a depth-1 dest reorg drops the relay's processTransfer tx of transfer 0
+    # while later ids are in flight
+    path = Path(__file__).parents[1] / "scenarios" / "dest_drop_relay_tx.json"
+    config = ScenarioConfig.from_json(path.read_text())
+    assert digest(config) == GOLDEN["dest_drop_relay_tx"]
 
 
 @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import pathlib
 from collections import Counter
+from dataclasses import replace
 from importlib.resources import as_file
 
 import pytest
@@ -179,8 +180,17 @@ class TestWork:
             digests.update(out)
             return out
 
+        keccak_after = codec.keccak256_after
+
+        def counted_after(prefix, datas):
+            out, header = keccak_after(prefix, datas)
+            digests.update(out)
+            digests[header] += 1
+            return out, header
+
         monkeypatch.setitem(codec.HASH_ALGS, "keccak256", counted)
         monkeypatch.setattr(codec, "keccak256_many", counted_many)
+        monkeypatch.setattr(codec, "keccak256_after", counted_after)
         codec.selector.cache_clear()
         workload = [
             {"tick": 1 + i // 5, "action": "request_transfer",
@@ -367,6 +377,38 @@ class TestThreatMatrix:
                 == SUITE_GOLDEN[entry.name])
 
 
+SCENARIO_FILES = sorted(
+    [*(pathlib.Path(__file__).parents[1] / "scenarios").glob("*.json"),
+     *(THREATS / name for name in THREATS.iterdir()
+       if name.name.endswith(".json"))], key=lambda p: p.name)
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)
+    def test_ticks_past_the_stop_change_nothing(self, path):
+        world = World(ScenarioConfig.from_json(path.read_text()))
+        report = world.run()
+        journal = list(world.bridge.journal)
+        for _ in range(2 * world.grace):
+            world.step()
+        later = world.build_report()
+        assert later.end_tick == report.end_tick + 2 * world.grace
+        assert later.to_text() == replace(
+            report, end_tick=later.end_tick).to_text()
+        assert world.bridge.journal == journal
+
+    def test_a_paused_relay_stops_at_twice_the_grace(self):
+        entry = next(e for e in SUITE if e.name == "adapter_source_attack")
+        world = World(entry.build())
+        last_action = max(a["tick"] for a in entry.build().workload)
+        report = world.run()
+        assert world.bridge.paused and world.bridge.queued
+        assert report.end_tick < entry.build().max_ticks
+        # quiescent from the tick of the last action (its tx is mined in
+        # that tick) on, and 2 * grace quiescent ticks in all
+        assert report.end_tick == last_action + 2 * world.grace - 1
+
+
 class TestCli:
     def test_run_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -417,6 +459,9 @@ class TestCli:
         # only the run finds that the chain is too short for this reorg
         too_deep = {"workload": [{"tick": 2, "action": "inject_reorg",
                                   "depth": 50}]}
+        never_sent = {"workload": [{"tick": 3, "action": "inject_reorg",
+                                    "depth": 1, "chain": "dest",
+                                    "drop": ["relay:0"]}]}
         for doc in ({"source": {"network_id": "a", "bogus": 1}},
                     {"signatory_modes": ["honest", "evil"]},
                     {"dest": {"network_id": "b", "hash_alg": "md5"}},
@@ -491,6 +536,12 @@ class TestCli:
             {"workload": [dict(request, label="a"),
                           {"tick": 3, "action": "inject_reorg", "depth": 1,
                            "drop": "a"}]},
+            # a label that reads as a relay tx, a drop name that is not a
+            # string, a relay tx the relay never sent (known only in the run)
+            {"workload": [dict(request, label="relay:0")]},
+            {"workload": [{"tick": 3, "action": "inject_reorg", "depth": 1,
+                           "drop": [0]}]},
+            never_sent,
             {"workload": [{"tick": 1, "action": "faulty_view",
                            "target": "signatory:-1",
                            "corruption": {"kind": "none"}}]},
@@ -511,10 +562,11 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: invalid scenario file"), doc
             assert err.count("\n") == 1, err
-            if doc is not too_deep:  # the rest fail at load
-                with pytest.raises(ConfigError):
+            if doc is not too_deep and doc is not never_sent:
+                with pytest.raises(ConfigError):  # the rest fail at load
                     ScenarioConfig.from_json(json.dumps(doc))
         World(ScenarioConfig.from_dict(too_deep))  # it loads
+        World(ScenarioConfig.from_dict(never_sent))
 
     def test_other_unloadable_scenarios_exit_2(self, tmp_path, capsys):
         for text in ("[1]", "5", "null", "[" * 10**5 + "]" * 10**5):
