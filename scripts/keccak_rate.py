@@ -17,6 +17,12 @@ For each width W it prints the microseconds of:
   events' permutations) and by `keccak256_many` then `keccak256`
   (``plain_us``).
 
+Below the table, one row for W = 5 tx-shaped messages of 196 bytes (a
+request tx's preimage; 5 of them share 4 first blocks, as 5 requests from 4
+senders do): the microseconds per message of `keccak256_many` through a
+first-block memo that holds their first blocks (``remembered_us``) and
+through an empty one (``not_remembered_us``).
+
 Each figure is the median over the repetitions; every repetition times all
 widths, in reverse order on odd repetitions, so a drift in the host's speed
 spreads over the widths instead of landing on one. It is a measurement, not
@@ -36,6 +42,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WIDTHS = (1, 2, 5, 16)
 SHORT, LONG = 56, 200  # message bytes: one block, two blocks
+TX, TX_W, TX_HEADS = 196, 5, 4  # tx-shaped messages: bytes, batch, first blocks
 CALLS = 50  # timed per repetition and width
 COLUMNS = ("permute_us", "per_state_us", "message_us", "message200_us",
            "header_us", "plain_us")
@@ -56,6 +63,8 @@ def main(argv=None) -> int:
     if args.reps < 1:
         parser.error("--reps must be positive")
     sys.path.insert(0, str(ROOT / "src"))
+    from collections import OrderedDict
+
     from bridgesim import keccak
 
     def plain(prefix, datas):
@@ -79,6 +88,16 @@ def main(argv=None) -> int:
                     one_at_a_time, header)):
             print(f"W={w}: a batch differs from keccak256")
             return 1
+    heads = [rng.randbytes(keccak._RATE) for _ in range(TX_HEADS)]
+    txs = [heads[k % TX_HEADS] + rng.randbytes(TX - keccak._RATE)
+           for k in range(TX_W)]
+    warm = OrderedDict()
+    for memo in (OrderedDict(), warm, warm):  # cold, filling, remembered
+        if keccak.keccak256_many(txs, memo) != [
+                keccak.keccak256(m) for m in txs]:
+            print(f"W={TX_W}: a tx batch through a memo differs")
+            return 1
+    tx_times = {"remembered_us": [], "not_remembered_us": []}
 
     times = {w: {c: [] for c in COLUMNS if c != "per_state_us"}
              for w in WIDTHS}
@@ -97,12 +116,20 @@ def main(argv=None) -> int:
                                ("plain_us", plain)):
                 t[column].append(per_call(
                     lambda: fn(prefix[w], long[w]), CALLS))
+            if w == TX_W:
+                tx_times["remembered_us"].append(per_call(
+                    lambda: keccak.keccak256_many(txs, warm), CALLS) / w)
+                tx_times["not_remembered_us"].append(per_call(
+                    lambda: keccak.keccak256_many(txs, OrderedDict()),
+                    CALLS) / w)
 
     print(f"{'W':>3}" + "".join(f" {c:>13}" for c in COLUMNS))
     for w in WIDTHS:
         med = {c: statistics.median(v) for c, v in times[w].items()}
         med["per_state_us"] = med["permute_us"] / w
         print(f"{w:>3}" + "".join(f" {med[c]:>13.1f}" for c in COLUMNS))
+    print(f"\n{TX}-byte txs at W = {TX_W}, per message:" + "".join(
+        f" {c} {statistics.median(v):.1f}" for c, v in tx_times.items()))
     return 0
 
 

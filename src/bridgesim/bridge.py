@@ -531,7 +531,9 @@ class BridgeNode:
             self.inflight = None
             job.submitted_tx = b""
             self._track(job)
-            job.attempts += 1
+            if not (receipt.reason == "OutOfOrder"
+                    and self._delivery_lost_before(job.transfer_id)):
+                job.attempts += 1
             if job.attempts > self.config.max_retries:
                 job.stall_reason = f"destinationRejected:{receipt.reason}"
                 self._transition(tick, job, "stalled", receipt.reason)
@@ -548,6 +550,18 @@ class BridgeNode:
         if blocked:
             return  # an earlier id must land first or the nonce check reverts
         self._submit(job, tick)
+
+    def _delivery_lost_before(self, tid: int) -> bool:
+        """Whether a job with an id below ``tid`` awaits dest finality while
+        the tx that processed it has left the dest chain. The nonce check
+        reverts ``tid`` `OutOfOrder` until that job, sent again at dest
+        finality, lands; such a revert is not ``tid``'s own failure."""
+        for earlier in self.moving:
+            job = self.jobs[earlier]
+            if (earlier < tid and job.state == "awaitingDestFinality"
+                    and self.dest_view.get_receipt(job.processed_tx) is None):
+                return True
+        return False
 
     def _submit(self, job: TransferJob, tick: int) -> None:
         if not job.submitted_payload:

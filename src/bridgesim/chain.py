@@ -15,6 +15,7 @@ start, so a rollback costs one step per write undone at any depth.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from .codec import HASH_ALGS, hash_after, hash_bytes, hash_many
@@ -227,6 +228,8 @@ class Chain:
         # hash was computed from their own fields, so submit need not redo it
         self._built: dict[bytes, Transaction] = {}
         self._produced = 0  # distinct-hash salt across branches
+        # tx preimage first block -> keccak state after it (`hash_many`)
+        self._first_blocks: OrderedDict[bytes, tuple] = OrderedDict()
         self.tick = 0
         genesis = Block(
             number=0,
@@ -255,7 +258,9 @@ class Chain:
 
     def make_transactions(self, specs: list[tuple]) -> list[Transaction]:
         """One tx for each ``(sender, recipient, payload, value)``, seqs
-        assigned in order, every tx hash computed in one `hash_many` batch."""
+        assigned in order, every tx hash computed in one `hash_many` batch.
+        On a keccak chain a preimage whose first block an earlier tx of this
+        chain shared starts from that block's remembered state."""
         fields, preimages = [], []
         for sender, recipient, payload, value in specs:
             seq = self._next_seq.get(sender, 0)
@@ -263,7 +268,8 @@ class Chain:
             fields.append((sender, recipient, payload, value, seq))
             preimages.append(_tx_preimage(sender, recipient, payload, value, seq))
         txs = []
-        for tx_hash, f in zip(hash_many(self.config.hash_alg, preimages), fields):
+        digests = hash_many(self.config.hash_alg, preimages, self._first_blocks)
+        for tx_hash, f in zip(digests, fields):
             tx = Transaction(tx_hash, *f)
             self._built[tx_hash] = tx
             txs.append(tx)

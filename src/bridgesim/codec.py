@@ -62,10 +62,12 @@ def hash_bytes(alg: str, data: bytes) -> bytes:
         raise EncodingError(f"unknown hash algorithm: {alg}") from None
 
 
-def hash_many(alg: str, datas: list[bytes]) -> list[bytes]:
-    """`hash_bytes` of each of ``datas``; keccak hashes them side by side."""
+def hash_many(alg: str, datas: list[bytes], memo=None) -> list[bytes]:
+    """`hash_bytes` of each of ``datas``; keccak hashes them side by side,
+    starting each message from its first block's state in ``memo`` (see
+    `keccak256_many`) if one is given. Other algorithms ignore ``memo``."""
     if alg == "keccak256":
-        return keccak256_many(datas)
+        return keccak256_many(datas, memo)
     return [hash_bytes(alg, data) for data in datas]
 
 

@@ -56,6 +56,22 @@ more slot of the longest group's packed permutations, one block per
 permutation, and the header sponge goes on from that slot at W = 1. A
 slot costs little next to a permutation, so each ridden block saves about
 one W = 1 permutation.
+
+`keccak256_many` takes an optional memo from its caller that maps a
+message's first 136-byte block to the 25 lanes after one Keccak-f
+(precomputing a fixed leading block's chaining state, as HMAC does for its
+keyed pads). The first blocks it lacks are absorbed as one packed group
+and stored; then every message runs only its remaining blocks, packed,
+from its state. A message shorter than one block skips the memo. A memo
+holds at most ``FIRST_BLOCK_MEMO_SIZE`` blocks; past that the one stored
+first is dropped, and a hit evicts nothing. Each `Chain` keeps one for the
+tx preimages it builds (`codec.hash_many` hands it only to keccak): sender,
+recipient, payload length and the call's head come first, so a sender's
+request txs repeat their first block, and the varying argument, value and
+seq fall in the second. Event preimages and block headers hash without
+it: a request event's first block holds its ``transferId`` and a header's
+its block number, so they never repeat, and a header's first blocks
+already ride in the events' permutations.
 """
 
 import struct
@@ -75,6 +91,8 @@ _M = (1 << 64) - 1
 _RATE = 136  # bytes, for capacity 512
 _unpack_block = struct.Struct("<17Q").unpack_from  # the 17 rate lanes
 _pack_digest = struct.Struct("<4Q").pack  # the first 4 lanes, 32 bytes
+_ZERO_STATE = (0,) * 25
+FIRST_BLOCK_MEMO_SIZE = 256  # first blocks kept by one `keccak256_many` memo
 
 
 def _permute(s: list, mask: int = _M, rcs: tuple = _ROUND_CONSTANTS) -> None:
@@ -199,33 +217,71 @@ def _slots(w: int) -> struct.Struct:
     return struct.Struct("<" + "Q8x" * w)
 
 
-def _hash_groups(datas, out: list,
-                 prefix: bytes = b"") -> tuple[list | None, int]:
-    """Write the digest of each of ``datas`` to ``out``. Messages of the same
-    padded length are hashed side by side, one packed permutation per block;
-    a message alone at its length goes to `keccak256`.
+def _first_block_states(datas, memo) -> list:
+    """For each of ``datas``, the sponge state (a 25-tuple) after its first
+    block, or None for a message shorter than one block. The first blocks
+    not in ``memo`` are absorbed side by side in one packed permutation, and
+    their states stored; past ``FIRST_BLOCK_MEMO_SIZE`` entries the one
+    stored first is dropped."""
+    firsts = [data[:_RATE] if len(data) >= _RATE else None for data in datas]
+    states = {f: memo[f] for f in firsts if f in memo}
+    new = list(dict.fromkeys(f for f in firsts
+                             if f is not None and f not in states))
+    if new:
+        w = len(new)
+        mask, rcs = _width(w)
+        slots = _slots(w)
+        s = [int.from_bytes(slots.pack(*lanes), "little")
+             for lanes in zip(*map(_unpack_block, new))] + [0] * 8
+        _permute(s, mask, rcs)
+        lanes = [slots.unpack(x.to_bytes(16 * w, "little")) for x in s]
+        for f, state in zip(new, zip(*lanes)):
+            states[f] = memo[f] = state
+            if len(memo) > FIRST_BLOCK_MEMO_SIZE:
+                memo.popitem(last=False)
+    return [f and states[f] for f in firsts]
 
+
+def _hash_groups(datas, out, prefix: bytes = b"",
+                 memo=None) -> tuple[list | None, int]:
+    """Write the digest of each of ``datas`` to ``out``. Messages with the
+    same number of blocks left to absorb are hashed side by side, one packed
+    permutation per block; a message alone at its length is hashed at W = 1.
+
+    With a ``memo`` (see `keccak256_many`), a message of one block or more
+    starts from its first block's state and has one block fewer left.
     The whole blocks at the start of ``prefix`` ride in the longest group, in
-    one more slot, for as many blocks as that group has. Returns that slot's
-    state after its last block and the number of blocks it absorbed
-    (None and 0 if none rode)."""
+    one more slot, for as many blocks as that group has; a batch hashed
+    through a memo takes no prefix. Returns that slot's state after its
+    last block and the number of blocks it absorbed (None and 0 if none
+    rode)."""
+    starts = ([None] * len(datas) if memo is None
+              else _first_block_states(datas, memo))
     groups: dict[int, list[int]] = {}
     for i, data in enumerate(datas):
-        groups.setdefault(len(data) // _RATE, []).append(i)
+        left = len(data) // _RATE - (starts[i] is not None)
+        groups.setdefault(left, []).append(i)
     rider = max(groups) if groups and len(prefix) >= _RATE else -1
     head, rode = None, 0
     for blocks, idx in groups.items():
-        padded = [_pad(datas[i]) for i in idx]
+        started = [starts[i] for i in idx]
+        padded = [_pad(datas[i])[_RATE if st else 0:]
+                  for i, st in zip(idx, started)]
         if blocks == rider:
             rode = min(len(prefix) // _RATE, blocks + 1)
             padded.append(prefix[:rode * _RATE].ljust(len(padded[0]), b"\0"))
         elif len(idx) == 1:
-            out[idx[0]] = keccak256(datas[idx[0]])
+            st = started[0]
+            out[idx[0]] = (_squeeze(list(st), padded[0]) if st
+                           else keccak256(datas[idx[0]]))
             continue
         w = len(padded)
         mask, rcs = _width(w)
         slots = _slots(w)
         s = [0] * 25
+        if any(started):
+            s = [int.from_bytes(slots.pack(*lanes), "little")
+                 for lanes in zip(*[st or _ZERO_STATE for st in started])]
         for n, off in enumerate(range(0, len(padded[0]), _RATE), 1):
             s[:17] = [a ^ int.from_bytes(slots.pack(*lanes), "little")
                       for a, lanes in zip(s, zip(*[_unpack_block(p, off)
@@ -240,10 +296,13 @@ def _hash_groups(datas, out: list,
     return head, rode
 
 
-def keccak256_many(datas) -> list[bytes]:
-    """Keccak-256 digest of each of ``datas``, in order."""
+def keccak256_many(datas, memo=None) -> list[bytes]:
+    """Keccak-256 digest of each of ``datas``, in order. ``memo``, an
+    `OrderedDict` its caller keeps, maps a message's first block to the
+    sponge state after it, so a batch whose messages repeat an earlier
+    first block skips that block's permutation."""
     out = [b""] * len(datas)
-    _hash_groups(datas, out)
+    _hash_groups(datas, out, memo=memo)
     return out
 
 

@@ -475,15 +475,25 @@ class TestDestReorg:
         assert moves[-4].endswith("left the dest chain")
         (event,) = processed(world, 0)
         assert world.dest.get_receipt(event.tx_hash).status == "ok"
-        assert [d[0] for d in report.delivered] == [0]
+        assert [d[0] for d in report.delivered] == [0, 1, 2, 3, 4]
         assert report.violations == []
+
+    def test_ids_behind_a_lost_delivery_are_delivered_once_in_order(self):
+        world, report = run(dest_drop())
+        assert [d[0] for d in report.delivered] == [0, 1, 2, 3, 4]
+        assert report.stalls == []
+        assert all(len(processed(world, tid)) == 1 for tid in range(5))
+        # transfer 1's OutOfOrder reverts while transfer 0's delivery is off
+        # the dest chain (ticks 12-15) cost no attempt; the one at tick 16,
+        # after transfer 0 went back to submitting, counts
+        assert world.bridge.jobs[1].attempts == 1
 
     def test_restart_between_reorg_and_dest_finality_delivers_once(self):
         world, report = run(dest_drop({"tick": 14, "action": "bridge_restart"}))
         assert any(line.startswith("16 | 0 | awaitingDestFinality -> "
                                    "submitting")
                    for line in world.bridge.journal)
-        assert [d[0] for d in report.delivered] == [0]
+        assert [d[0] for d in report.delivered] == [0, 1, 2, 3, 4]
         assert len(processed(world, 0)) == 1
         # every job the relay calls done has a canonical Processed
         for tid, job in world.bridge.jobs.items():

@@ -17,8 +17,9 @@ from bridgesim import (
     blake2b256,
     encode_function_call,
 )
-from bridgesim.chain import ChainError, Revert
+from bridgesim.chain import ChainError, Revert, _tx_preimage
 from bridgesim.codec import hash_bytes
+from keccak_ref import keccak256_ref
 from state_dump import dump_state
 
 ALICE = blake2b256(b"acct:alice")
@@ -135,6 +136,24 @@ class TestBasics:
         for tx in txs:
             chain.submit_transaction(tx)
         assert chain.pending == txs
+
+    def test_batch_hashes_equal_on_a_fresh_and_a_warm_memo(self):
+        # tx-shaped preimages of 196 bytes: sender, recipient and the call's
+        # head fill the first block, the rest varies with the transfer
+        specs = [(sender, STORE, bytes(64) + random.Random(i).randbytes(20), i)
+                 for i, sender in enumerate([ALICE, BOB, ALICE, CAROL, ALICE])]
+        fresh, warm = make_chain(), make_chain()
+        warm.make_transactions(specs)  # same first blocks, other seqs
+        assert len(warm._first_blocks) == 3
+        warm._next_seq.clear()
+        txs = warm.make_transactions(specs)
+        assert txs == fresh.make_transactions(specs)
+        assert all(tx.tx_hash == keccak256_ref(_tx_preimage(
+            tx.sender, tx.recipient, tx.payload, tx.value, tx.seq))
+            for tx in txs)
+        blake = make_chain("blake2b256")
+        blake.make_transactions(specs)
+        assert not blake._first_blocks
 
     def test_reverted_tx_included_with_receipt(self):
         chain = make_chain()

@@ -3,6 +3,7 @@
 import hashlib
 import pathlib
 import random
+from collections import OrderedDict
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -28,12 +29,15 @@ from bridgesim.codec import (
     decode_function_call,
     hash_after,
     hash_bytes,
+    hash_many,
     parse_signature,
     selector,
 )
 
+from bridgesim import keccak
 from bridgesim.keccak import (
     _M,
+    _RATE,
     _permute,
     _width,
     keccak256_after,
@@ -191,6 +195,108 @@ class TestHashes:
     def test_unknown_alg(self):
         with pytest.raises(EncodingError):
             hash_bytes("sha256", b"")
+
+
+@pytest.fixture
+def permutations(monkeypatch):
+    """Counts Keccak-f calls, at any width."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return _permute(*args)
+
+    monkeypatch.setattr(keccak, "_permute", counted)
+    return count
+
+
+class TestFirstBlockMemo:
+    """`keccak256_many` with a memo starts a message of one block or more from
+    its first block's remembered state; every digest must be the reference's."""
+
+    HEADS = [random.Random(i).randbytes(_RATE) for i in range(5)]
+
+    @pytest.mark.parametrize("size", [136, 137, 200, 272, 408])
+    def test_block_boundary_lengths_cold_and_warm(self, size, permutations):
+        rng = random.Random(size)
+        datas = [head + rng.randbytes(size - _RATE)
+                 for head in self.HEADS[:3] for _ in range(2)]
+        expected = [keccak256_ref(d) for d in datas]
+        memo = OrderedDict()
+        assert keccak256_many(datas, memo) == expected
+        assert list(memo) == self.HEADS[:3]
+        cold, permutations[0] = permutations[0], 0
+        assert keccak256_many(datas, memo) == expected
+        # warm: the first block of each message costs no permutation
+        assert (cold, permutations[0]) == (size // _RATE + 1, size // _RATE)
+
+    def test_all_some_or_no_first_blocks_remembered(self, permutations):
+        rng = random.Random(1)
+        a, b, c, d, e = self.HEADS
+        memo = OrderedDict()
+        keccak256_many([a + rng.randbytes(60), b + rng.randbytes(60)], memo)
+        other = rng.randbytes(300)  # a first block seen once
+        batches = {
+            "all": [a + rng.randbytes(60), b + rng.randbytes(60),
+                    a + rng.randbytes(1)],
+            "some": [a + rng.randbytes(60), c + rng.randbytes(60),
+                     b + rng.randbytes(200)],
+            "none": [d + rng.randbytes(60), e + rng.randbytes(60)],
+            # one-block messages skip the memo but share a group with
+            # messages that have one block left after their first
+            "mixed": [rng.randbytes(56), a, c + rng.randbytes(300),
+                      rng.randbytes(135), d + rng.randbytes(135), b,
+                      other, e + rng.randbytes(136)],
+            "lone": [c + rng.randbytes(200)],
+            "empty": [],
+        }
+        runs = {}
+        for name, datas in batches.items():
+            permutations[0] = 0
+            assert keccak256_many(datas, memo) == [
+                keccak256_ref(x) for x in datas], name
+            runs[name] = permutations[0]
+        assert list(memo) == [a, b, c, d, e, other[:_RATE]]
+        # mixed: 1 for the new first block, 1 for the five messages with one
+        # block to go, 2 for the two with two, 3 for the lone one with three
+        assert runs == {"all": 1, "some": 4, "none": 2, "mixed": 7,
+                        "lone": 2, "empty": 0}
+
+    def test_memo_past_its_bound_drops_its_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr(keccak, "FIRST_BLOCK_MEMO_SIZE", 3)
+        rng = random.Random(2)
+        a, b, c, d, e = self.HEADS
+        memo = OrderedDict()
+        for batch in ([a, b, c], [a, b], [d]):  # the hits on a, b evict none
+            datas = [head + rng.randbytes(60) for head in batch]
+            assert keccak256_many(datas, memo) == [
+                keccak256_ref(x) for x in datas]
+        assert list(memo) == [b, c, d]
+        # more new first blocks in one batch than the memo holds
+        datas = [head + rng.randbytes(60) for head in (e, a, b, c, e, a)]
+        assert keccak256_many(datas, memo) == [keccak256_ref(x) for x in datas]
+        assert list(memo) == [d, e, a]
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 300)),
+                    max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_batches(self, shapes):
+        # head index 4 stands for a message with no shared first block
+        rng = random.Random(len(shapes))
+        memo = OrderedDict()
+        datas = [(self.HEADS[h] if h < 4 else b"") + rng.randbytes(n)
+                 for h, n in shapes]
+        for _ in range(2):
+            assert keccak256_many(datas, memo) == [
+                keccak256_ref(x) for x in datas]
+
+    def test_hash_many_memo_is_keccak_only(self):
+        datas = [self.HEADS[0] + b"x" * 60]
+        memo = OrderedDict()
+        assert hash_many("blake2b256", datas, memo) == [blake2b256(datas[0])]
+        assert not memo
+        assert hash_many("keccak256", datas, memo) == [keccak256(datas[0])]
+        assert list(memo) == [self.HEADS[0]]
 
 
 class TestSelectors:

@@ -49,7 +49,7 @@ GOLDEN = {
     "relay_restarts":
         "9eb7bdd911e61c67e5fb0e3f4ca1139d76b06394627e7c12f68afb5f0c58931b",
     "dest_drop_relay_tx":
-        "fddae2e5a70292b8c34c99b55fc028d42be10ba6c438c01b4c788e63bd4886d5",
+        "1d420ca934100d053add3a7e93ac68a9164c72d04de47495a2ef0e742e7d40b3",
 }
 
 SUITE_GOLDEN = {
@@ -109,7 +109,7 @@ def test_relay_restarts_file():
 
 def test_dest_drop_relay_tx_file():
     # a depth-1 dest reorg drops the relay's processTransfer tx of transfer 0
-    # while later ids are in flight
+    # while later ids are in flight; all five are delivered, in order
     path = Path(__file__).parents[1] / "scenarios" / "dest_drop_relay_tx.json"
     config = ScenarioConfig.from_json(path.read_text())
     assert digest(config) == GOLDEN["dest_drop_relay_tx"]

@@ -18,7 +18,9 @@ from bridgesim import (
     scenario,
 )
 from bridgesim.adapter import encode_request_transfer
+from bridgesim.bridge import TransferJob
 from bridgesim.cli import main as cli_main
+from bridgesim.codec import TransferMessage
 from bridgesim.scenario import (
     ACTIONS,
     CORRUPTION,
@@ -175,8 +177,8 @@ class TestWork:
 
         keccak_many = codec.keccak256_many
 
-        def counted_many(datas):
-            out = keccak_many(datas)
+        def counted_many(datas, memo=None):
+            out = keccak_many(datas, memo)
             digests.update(out)
             return out
 
@@ -407,6 +409,50 @@ class TestStopRule:
         # quiescent from the tick of the last action (its tx is mined in
         # that tick) on, and 2 * grace quiescent ticks in all
         assert report.end_tick == last_action + 2 * world.grace - 1
+
+
+class TestQuiescent:
+    """`World.quiescent` on a world with nothing pending, one thing added."""
+
+    @pytest.fixture
+    def world(self):
+        world = World(ScenarioConfig(workload=[]))
+        assert world.quiescent()
+        return world
+
+    def test_a_signatory_inbox_message(self, world):
+        world.inboxes[next(iter(world.inboxes))].append(object())
+        assert not world.quiescent()
+
+    def test_a_live_forged_job(self, world):
+        forged = TransferJob(
+            transfer=TransferMessage(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32,
+                                     b"\x00" * 4, 0, 0, "alpha"),
+            forged=True, state="awaitingFinality")
+        world.bridge.forged_jobs.append(forged)
+        assert not world.quiescent()
+        forged.state = "stalled"
+        assert world.quiescent()
+
+    def test_a_bus_message(self, world):
+        world.bus.append((world.tick + 1, "bridge", object()))
+        assert not world.quiescent()
+
+    @pytest.mark.parametrize("side", ["source", "dest"])
+    def test_a_pending_tx(self, world, side):
+        chain = world.chains[side]
+        chain.pending.append(chain.make_transaction(
+            account_address("alice"), world.adapters[side].address, b""))
+        assert not world.quiescent()
+
+    def test_a_paused_relay_with_live_jobs(self):
+        entry = next(e for e in SUITE if e.name == "adapter_source_attack")
+        world = World(entry.build())
+        world.run()
+        assert world.bridge.paused and world.bridge.queued
+        assert world.quiescent()
+        world.bridge.paused = False  # the same live jobs can move now
+        assert not world.quiescent()
 
 
 class TestCli:
