@@ -9,8 +9,7 @@ For each width W it prints the microseconds of:
 - `keccak256_many` per message, on batches of W one-block messages of 56
   bytes (an empty block's hash preimage: number, parent hash, tick, salt)
   and of W two-block messages of 200 bytes (the size of a tx or an event
-  preimage); at W = 1 `keccak256_many` hands its message to the scalar
-  `keccak256`;
+  preimage);
 - one block hash over W txs and W events: the W 200-byte event preimages
   and a header of 56 + 32 W bytes followed by their digests, hashed by
   `keccak256_after` (``header_us``, the header's whole blocks riding in the
@@ -21,7 +20,11 @@ Below the table, one row for W = 5 tx-shaped messages of 196 bytes (a
 request tx's preimage; 5 of them share 4 first blocks, as 5 requests from 4
 senders do): the microseconds per message of `keccak256_many` through a
 first-block memo that holds their first blocks (``remembered_us``) and
-through an empty one (``not_remembered_us``).
+through an empty one (``not_remembered_us``). Then one row for a W = 5
+batch of mixed lengths, messages of 1, 1, 2, 2 and 3 blocks: the Keccak-f
+calls that batch costs (``permutations``: one packed run as long as its
+longest message, 3) and the microseconds per message of `keccak256_many`
+(``message_us``).
 
 Each figure is the median over the repetitions; every repetition times all
 widths, in reverse order on odd repetitions, so a drift in the host's speed
@@ -43,6 +46,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 WIDTHS = (1, 2, 5, 16)
 SHORT, LONG = 56, 200  # message bytes: one block, two blocks
 TX, TX_W, TX_HEADS = 196, 5, 4  # tx-shaped messages: bytes, batch, first blocks
+MIXED = (56, 56, 200, 200, 300)  # message bytes: 1, 1, 2, 2 and 3 blocks
 CALLS = 50  # timed per repetition and width
 COLUMNS = ("permute_us", "per_state_us", "message_us", "message200_us",
            "header_us", "plain_us")
@@ -98,6 +102,22 @@ def main(argv=None) -> int:
             print(f"W={TX_W}: a tx batch through a memo differs")
             return 1
     tx_times = {"remembered_us": [], "not_remembered_us": []}
+    mixed = [rng.randbytes(n) for n in MIXED]
+    permute, calls = keccak._permute, []
+
+    def counted(*args):
+        calls.append(args)
+        return permute(*args)
+
+    keccak._permute = counted
+    try:
+        digests = keccak.keccak256_many(mixed)
+    finally:
+        keccak._permute = permute
+    if digests != [keccak.keccak256(m) for m in mixed]:
+        print(f"W={len(MIXED)}: a mixed-length batch differs")
+        return 1
+    mixed_times = []
 
     times = {w: {c: [] for c in COLUMNS if c != "per_state_us"}
              for w in WIDTHS}
@@ -122,6 +142,8 @@ def main(argv=None) -> int:
                 tx_times["not_remembered_us"].append(per_call(
                     lambda: keccak.keccak256_many(txs, OrderedDict()),
                     CALLS) / w)
+                mixed_times.append(per_call(
+                    lambda: keccak.keccak256_many(mixed), CALLS) / len(MIXED))
 
     print(f"{'W':>3}" + "".join(f" {c:>13}" for c in COLUMNS))
     for w in WIDTHS:
@@ -130,6 +152,8 @@ def main(argv=None) -> int:
         print(f"{w:>3}" + "".join(f" {med[c]:>13.1f}" for c in COLUMNS))
     print(f"\n{TX}-byte txs at W = {TX_W}, per message:" + "".join(
         f" {c} {statistics.median(v):.1f}" for c, v in tx_times.items()))
+    print(f"mixed lengths {MIXED} bytes at W = {len(MIXED)}: permutations "
+          f"{len(calls)} message_us {statistics.median(mixed_times):.1f}")
     return 0
 
 

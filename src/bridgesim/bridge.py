@@ -547,7 +547,7 @@ class BridgeNode:
             # other rejections: retry the identical signed payload
         if self.inflight is not None and self.inflight is not job:
             return  # strictly one in-flight destination submission
-        if blocked:
+        if blocked or self._delivery_lost_before(job.transfer_id):
             return  # an earlier id must land first or the nonce check reverts
         self._submit(job, tick)
 

@@ -49,29 +49,36 @@ the scalar round. A packed lane is absorbed as one ``struct`` pack of its W
 lanes, each followed by 8 zero bytes (``"<" + "Q8x" * W``), and a digest
 lane is read back with the same format.
 
+A batch is hashed in one packed run (`_hash_batch`), by one rule: every
+message takes a slot, every slot absorbs one block per permutation, and a
+message's digest is read after its last block; a slot whose message has
+ended absorbs zero blocks until the run ends. A batch costs as many
+permutations as its longest message has blocks left to absorb.
+
 `keccak256_after` hashes a batch and then a header: a prefix followed by
 the batch's digests, as a block hash covers its tx and event hashes. The
-prefix's whole blocks are known before any digest is, so they ride in one
-more slot of the longest group's packed permutations, one block per
-permutation, and the header sponge goes on from that slot at W = 1. A
-slot costs little next to a permutation, so each ridden block saves about
-one W = 1 permutation.
+prefix's whole blocks are known before any digest is, so they take one
+more slot of the batch's run, one block per permutation, up to as many as
+the run has; the header sponge goes on from that slot at W = 1. A slot
+costs little next to a permutation, so each such block saves about one
+W = 1 permutation.
 
 `keccak256_many` takes an optional memo from its caller that maps a
 message's first 136-byte block to the 25 lanes after one Keccak-f
 (precomputing a fixed leading block's chaining state, as HMAC does for its
-keyed pads). The first blocks it lacks are absorbed as one packed group
-and stored; then every message runs only its remaining blocks, packed,
-from its state. A message shorter than one block skips the memo. A memo
-holds at most ``FIRST_BLOCK_MEMO_SIZE`` blocks; past that the one stored
-first is dropped, and a hit evicts nothing. Each `Chain` keeps one for the
-tx preimages it builds (`codec.hash_many` hands it only to keccak): sender,
+keyed pads). A message whose first block the memo holds starts its slot
+from that state and has one block fewer to absorb; one whose first block it
+lacks starts from zero, and its state after the run's first permutation is
+stored. A message shorter than one block skips the memo. A memo holds at
+most ``FIRST_BLOCK_MEMO_SIZE`` blocks; past that the one stored first is
+dropped, and a hit evicts nothing. Each `Chain` keeps one for the tx
+preimages it builds (`codec.hash_many` hands it only to keccak): sender,
 recipient, payload length and the call's head come first, so a sender's
 request txs repeat their first block, and the varying argument, value and
 seq fall in the second. Event preimages and block headers hash without
 it: a request event's first block holds its ``transferId`` and a header's
 its block number, so they never repeat, and a header's first blocks
-already ride in the events' permutations.
+already ride in the events' run.
 """
 
 import struct
@@ -217,83 +224,65 @@ def _slots(w: int) -> struct.Struct:
     return struct.Struct("<" + "Q8x" * w)
 
 
-def _first_block_states(datas, memo) -> list:
-    """For each of ``datas``, the sponge state (a 25-tuple) after its first
-    block, or None for a message shorter than one block. The first blocks
-    not in ``memo`` are absorbed side by side in one packed permutation, and
-    their states stored; past ``FIRST_BLOCK_MEMO_SIZE`` entries the one
-    stored first is dropped."""
-    firsts = [data[:_RATE] if len(data) >= _RATE else None for data in datas]
-    states = {f: memo[f] for f in firsts if f in memo}
-    new = list(dict.fromkeys(f for f in firsts
-                             if f is not None and f not in states))
-    if new:
-        w = len(new)
-        mask, rcs = _width(w)
-        slots = _slots(w)
-        s = [int.from_bytes(slots.pack(*lanes), "little")
-             for lanes in zip(*map(_unpack_block, new))] + [0] * 8
-        _permute(s, mask, rcs)
-        lanes = [slots.unpack(x.to_bytes(16 * w, "little")) for x in s]
-        for f, state in zip(new, zip(*lanes)):
-            states[f] = memo[f] = state
-            if len(memo) > FIRST_BLOCK_MEMO_SIZE:
-                memo.popitem(last=False)
-    return [f and states[f] for f in firsts]
-
-
-def _hash_groups(datas, out, prefix: bytes = b"",
-                 memo=None) -> tuple[list | None, int]:
-    """Write the digest of each of ``datas`` to ``out``. Messages with the
-    same number of blocks left to absorb are hashed side by side, one packed
-    permutation per block; a message alone at its length is hashed at W = 1.
+def _hash_batch(datas, prefix=b"", memo=None) -> tuple[list, list | None, int]:
+    """Hash ``datas`` in one packed run: each message takes a slot, every
+    slot absorbs one block per permutation, and a message's digest is read
+    after its last block.
 
     With a ``memo`` (see `keccak256_many`), a message of one block or more
-    starts from its first block's state and has one block fewer left.
-    The whole blocks at the start of ``prefix`` ride in the longest group, in
-    one more slot, for as many blocks as that group has; a batch hashed
-    through a memo takes no prefix. Returns that slot's state after its
-    last block and the number of blocks it absorbed (None and 0 if none
-    rode)."""
-    starts = ([None] * len(datas) if memo is None
-              else _first_block_states(datas, memo))
-    groups: dict[int, list[int]] = {}
-    for i, data in enumerate(datas):
-        left = len(data) // _RATE - (starts[i] is not None)
-        groups.setdefault(left, []).append(i)
-    rider = max(groups) if groups and len(prefix) >= _RATE else -1
-    head, rode = None, 0
-    for blocks, idx in groups.items():
-        started = [starts[i] for i in idx]
-        padded = [_pad(datas[i])[_RATE if st else 0:]
-                  for i, st in zip(idx, started)]
-        if blocks == rider:
-            rode = min(len(prefix) // _RATE, blocks + 1)
-            padded.append(prefix[:rode * _RATE].ljust(len(padded[0]), b"\0"))
-        elif len(idx) == 1:
-            st = started[0]
-            out[idx[0]] = (_squeeze(list(st), padded[0]) if st
-                           else keccak256(datas[idx[0]]))
-            continue
-        w = len(padded)
-        mask, rcs = _width(w)
-        slots = _slots(w)
-        s = [0] * 25
-        if any(started):
-            s = [int.from_bytes(slots.pack(*lanes), "little")
-                 for lanes in zip(*[st or _ZERO_STATE for st in started])]
-        for n, off in enumerate(range(0, len(padded[0]), _RATE), 1):
-            s[:17] = [a ^ int.from_bytes(slots.pack(*lanes), "little")
-                      for a, lanes in zip(s, zip(*[_unpack_block(p, off)
-                                                  for p in padded]))]
-            _permute(s, mask, rcs)
-            if n == rode and blocks == rider:
-                top = 128 * (w - 1)  # the rider's slot, with no bits above
-                head = [x >> top for x in s]
-        digests = [slots.unpack(x.to_bytes(16 * w, "little")) for x in s[:4]]
-        for i, lanes in zip(idx, zip(*digests)):
-            out[i] = _pack_digest(*lanes)
-    return head, rode
+    starts from its first block's state if the memo holds it; otherwise it
+    starts from zero and its state after the first permutation is stored,
+    and past ``FIRST_BLOCK_MEMO_SIZE`` entries the one stored first is
+    dropped. The whole blocks at the start of ``prefix``, at most as many
+    as the run has permutations, take one more slot. Returns the digests,
+    that slot's state after its last block and the number of blocks it
+    absorbed (None and 0 if it took none)."""
+    padded = [_pad(data) for data in datas]
+    starts = [None] * len(datas)
+    misses = {}  # a first block the memo lacks -> the slot that stores it
+    if memo is not None:
+        for i, data in enumerate(datas):
+            if len(data) >= _RATE:
+                first = data[:_RATE]
+                if first in memo:
+                    starts[i] = memo[first]
+                    padded[i] = padded[i][_RATE:]
+                else:
+                    misses.setdefault(first, i)
+    ends = [len(p) // _RATE for p in padded]  # blocks each message absorbs
+    run = max(ends, default=0)
+    rode = min(len(prefix) // _RATE, run)
+    if rode:
+        padded.append(prefix[:rode * _RATE])
+        starts.append(None)
+    w = len(padded)
+    slots = _slots(w)
+    padded = [p.ljust(run * _RATE, b"\0") for p in padded]
+    s = ([int.from_bytes(slots.pack(*lanes), "little")
+          for lanes in zip(*[st or _ZERO_STATE for st in starts])]
+         if any(starts) else [0] * 25)
+    out, head = [b""] * len(datas), None
+    for n, off in enumerate(range(0, run * _RATE, _RATE), 1):
+        s[:17] = [a ^ int.from_bytes(slots.pack(*lanes), "little")
+                  for a, lanes in zip(s, zip(*[_unpack_block(p, off)
+                                              for p in padded]))]
+        _permute(s, *_width(w))
+        if misses and n == 1:
+            states = list(zip(*[slots.unpack(x.to_bytes(slots.size, "little"))
+                                for x in s]))
+            for first, i in misses.items():
+                memo[first] = states[i]
+                if len(memo) > FIRST_BLOCK_MEMO_SIZE:
+                    memo.popitem(last=False)
+        if n == rode:
+            head = [x >> 128 * (w - 1) for x in s]  # the top slot's lanes
+        done = [i for i, blocks in enumerate(ends) if blocks == n]
+        if done:
+            digests = list(zip(*[slots.unpack(x.to_bytes(slots.size, "little"))
+                                 for x in s[:4]]))
+            for i in done:
+                out[i] = _pack_digest(*digests[i])
+    return out, head, rode
 
 
 def keccak256_many(datas, memo=None) -> list[bytes]:
@@ -301,19 +290,14 @@ def keccak256_many(datas, memo=None) -> list[bytes]:
     `OrderedDict` its caller keeps, maps a message's first block to the
     sponge state after it, so a batch whose messages repeat an earlier
     first block skips that block's permutation."""
-    out = [b""] * len(datas)
-    _hash_groups(datas, out, memo=memo)
-    return out
+    return _hash_batch(datas, memo=memo)[0]
 
 
 def keccak256_after(prefix: bytes, datas) -> tuple[list[bytes], bytes]:
     """``(digests, header)``: ``digests`` is `keccak256_many` of ``datas`` and
     ``header`` the Keccak-256 of ``prefix`` followed by those digests. The
     header's first whole blocks come from ``prefix`` alone, so they are
-    absorbed in the digests' packed permutations; the rest at W = 1."""
-    out = [b""] * len(datas)
-    head, rode = _hash_groups(datas, out, prefix)
-    header = prefix + b"".join(out)
-    if not rode:
-        return out, keccak256(header)
-    return out, _squeeze(head, _pad(header), rode * _RATE)
+    absorbed in the digests' packed run; the rest at W = 1."""
+    out, head, rode = _hash_batch(datas, prefix)
+    return out, _squeeze(head or [0] * 25, _pad(prefix + b"".join(out)),
+                         rode * _RATE)

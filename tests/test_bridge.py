@@ -483,10 +483,13 @@ class TestDestReorg:
         assert [d[0] for d in report.delivered] == [0, 1, 2, 3, 4]
         assert report.stalls == []
         assert all(len(processed(world, tid)) == 1 for tid in range(5))
-        # transfer 1's OutOfOrder reverts while transfer 0's delivery is off
-        # the dest chain (ticks 12-15) cost no attempt; the one at tick 16,
-        # after transfer 0 went back to submitting, counts
-        assert world.bridge.jobs[1].attempts == 1
+        # transfer 1 is held while transfer 0's delivery is off the dest
+        # chain: it sends at tick 11, before the reorg, and again at 18,
+        # after transfer 0 landed; the revert of the first costs no attempt
+        sends = [line.split(" | ")[0] for line in world.bridge.journal
+                 if " | 1 | submitting -> submitting | tx " in line]
+        assert sends == ["11", "18"]
+        assert world.bridge.jobs[1].attempts == 0
 
     def test_restart_between_reorg_and_dest_finality_delivers_once(self):
         world, report = run(dest_drop({"tick": 14, "action": "bridge_restart"}))

@@ -161,7 +161,7 @@ class TestHashes:
     @example([b"\x01" * n for n in (135, 136, 271, 272, 135, 700, 272, 0)])
     @settings(max_examples=100, deadline=None)
     def test_keccak_many_matches_one_at_a_time(self, datas):
-        # ragged batches: groups of equal padded length and lone messages
+        # ragged batches: messages of mixed padded lengths in one run
         assert keccak256_many(datas) == [keccak256(d) for d in datas]
 
     @pytest.mark.parametrize("prefix_len", [0, 120, 136, 137, 248, 376, 408])
@@ -242,8 +242,8 @@ class TestFirstBlockMemo:
             "some": [a + rng.randbytes(60), c + rng.randbytes(60),
                      b + rng.randbytes(200)],
             "none": [d + rng.randbytes(60), e + rng.randbytes(60)],
-            # one-block messages skip the memo but share a group with
-            # messages that have one block left after their first
+            # one-block messages skip the memo but share the run with
+            # messages of up to three blocks left after their first
             "mixed": [rng.randbytes(56), a, c + rng.randbytes(300),
                       rng.randbytes(135), d + rng.randbytes(135), b,
                       other, e + rng.randbytes(136)],
@@ -257,9 +257,11 @@ class TestFirstBlockMemo:
                 keccak256_ref(x) for x in datas], name
             runs[name] = permutations[0]
         assert list(memo) == [a, b, c, d, e, other[:_RATE]]
-        # mixed: 1 for the new first block, 1 for the five messages with one
-        # block to go, 2 for the two with two, 3 for the lone one with three
-        assert runs == {"all": 1, "some": 4, "none": 2, "mixed": 7,
+        # one packed run per batch, as long as the most blocks any message
+        # has left: "some" 2 (c's new first block and its second; b's two
+        # after its first), "mixed" 3 (c's three after its first; other's
+        # three, its new first block included)
+        assert runs == {"all": 1, "some": 2, "none": 2, "mixed": 3,
                         "lone": 2, "empty": 0}
 
     def test_memo_past_its_bound_drops_its_oldest_entry(self, monkeypatch):
@@ -289,6 +291,68 @@ class TestFirstBlockMemo:
         for _ in range(2):
             assert keccak256_many(datas, memo) == [
                 keccak256_ref(x) for x in datas]
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 600)),
+                    max_size=10),
+           st.lists(st.integers(0, 2), max_size=3),
+           st.integers(0, 700), st.integers(1, 4))
+    @example([(0, 200), (1, 200), (3, 56), (0, 500), (3, 600)], [0], 300, 4)
+    @settings(max_examples=150, deadline=None)
+    def test_one_packed_run_per_batch(self, shapes, warm, prefix_len, bound):
+        # heads 0-2 give a shared first block to a message of 136 bytes or
+        # more (warm if listed in ``warm``, else cold; repeated when drawn
+        # twice); heads 3 and 4 give a random one
+        rng = random.Random(len(shapes) * 701 + prefix_len)
+        datas = [(self.HEADS[h] if h < 3 and n >= _RATE else b"")
+                 + rng.randbytes(n - _RATE if h < 3 and n >= _RATE else n)
+                 for h, n in shapes]
+        prefix = rng.randbytes(prefix_len)
+        expected = [keccak256_ref(d) for d in datas]
+
+        def memo_after(keys, batch):
+            """The memo's keys after ``batch``: its new first blocks are
+            stored in order, each once; past ``bound`` the oldest leaves."""
+            firsts = dict.fromkeys(d[:_RATE] for d in batch if len(d) >= _RATE)
+            new = [f for f in firsts if f not in keys]
+            return (keys + new)[-bound:]
+
+        def blocks(d, memo_keys=()):
+            # blocks a message absorbs in the run: its first one is skipped
+            # if the memo held it before the batch
+            return len(d) // _RATE + 1 - (d[:_RATE] in memo_keys
+                                          and len(d) >= _RATE)
+
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return _permute(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(keccak, "_permute", counted)
+            mp.setattr(keccak, "FIRST_BLOCK_MEMO_SIZE", bound)
+            # no memo: the header's whole blocks ride in the run, and the
+            # rest of the header costs one W = 1 permutation a block
+            digests, header = keccak256_after(prefix, datas)
+            assert digests == expected
+            assert header == keccak256_ref(prefix + b"".join(expected))
+            run = max(map(blocks, datas), default=0)
+            rest = (prefix_len + 32 * len(datas)) // _RATE + 1 - min(
+                prefix_len // _RATE, run)
+            assert count[0] == run + rest
+            # through a memo warmed with some heads
+            memo = OrderedDict()
+            warmup = [self.HEADS[h] + b"warm" for h in warm]
+            assert keccak256_many(warmup, memo) == [
+                keccak256_ref(d) for d in warmup]
+            keys = memo_after([], warmup)
+            for _ in range(2):  # cold or warm, then warm
+                count[0] = 0
+                assert keccak256_many(datas, memo) == expected
+                assert count[0] == max(
+                    (blocks(d, keys) for d in datas), default=0)
+                keys = memo_after(keys, datas)
+                assert list(memo) == keys
 
     def test_hash_many_memo_is_keccak_only(self):
         datas = [self.HEADS[0] + b"x" * 60]

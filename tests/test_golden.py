@@ -49,7 +49,7 @@ GOLDEN = {
     "relay_restarts":
         "9eb7bdd911e61c67e5fb0e3f4ca1139d76b06394627e7c12f68afb5f0c58931b",
     "dest_drop_relay_tx":
-        "1d420ca934100d053add3a7e93ac68a9164c72d04de47495a2ef0e742e7d40b3",
+        "368d2658cfb2c5ed8dfe7cf1675dfad3cd9e457c54b38762fecefc8dc44f7bd4",
 }
 
 SUITE_GOLDEN = {
