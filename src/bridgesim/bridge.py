@@ -162,9 +162,8 @@ class _JobTable(UserDict):
 
 @dataclass
 class ChainStatus:
-    last_seen_head: tuple = (0, b"")
+    last_seen_head: tuple  # (number, hash) of the head last seen
     ticks_since_new_block: int = 0
-    reorg_detected: bool = False
 
 
 class BridgeNode:
@@ -324,10 +323,16 @@ class BridgeNode:
     def operator_resume(self) -> None:
         self.paused = False
 
+    def idle(self) -> bool:
+        """Nothing moves without outside input: paused (only a resume moves
+        its jobs), or no live real job and every forged job final."""
+        return self.paused or not (self.moving or self.queued) and all(
+            j.state in FINAL_STATES for j in self.forged_jobs)
+
     # -- chain status monitoring ---------------------------------------------
 
     def monitor_chain_status(self, name: str, view: ChainView,
-                             tick: int) -> ChainStatus:
+                             tick: int) -> None:
         st = self.status[name]
         prev_number, prev_hash = st.last_seen_head
         head_number = view.head_number()
@@ -338,9 +343,8 @@ class BridgeNode:
                 self.alarms.append(("liveness", name, tick))
         else:
             st.ticks_since_new_block = 0
-        st.reorg_detected = (prev_hash != b""
-                             and view.get_block_by_hash(prev_hash) is None)
-        if st.reorg_detected:
+        # a reorg seals depth + 1 blocks, so block prev_number still exists
+        if view.get_block(prev_number).block_hash != prev_hash:
             self.alarms.append(("reorg", name, tick))
             if self.config.reorg_response == "pause":
                 self.paused = True
@@ -348,7 +352,6 @@ class BridgeNode:
                 finalized = max(0, head_number - self.config.source_finality)
                 self.source_cursor = min(self.source_cursor, finalized)
         st.last_seen_head = (head_number, head_hash)
-        return st
 
     # -- main loop -----------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 One `Chain` owns a canonical list of blocks, a pending transaction pool, the
 registered contract handlers and their state, and account balances. Every
-block ever produced (including orphaned branches) is retained in a side store
-that only the harness oracle reads; protocol actors see canonical data only.
+block ever produced (including orphaned branches) is kept in `all_blocks`, in
+the order made, which only the harness oracle reads; protocol actors see
+canonical data only, found by block number.
 
 State is rolled back by one undo log: every write to `balances`,
 `executed_seq` or a registered contract's `state` (nested maps included)
@@ -29,10 +30,6 @@ class ChainError(Exception):
 
 
 class DuplicateTransaction(ChainError):
-    pass
-
-
-class UnknownRecipient(ChainError):
     pass
 
 
@@ -150,11 +147,12 @@ class ReorgRecord:
 
 @dataclass(frozen=True)
 class ViewCorruption:
-    """A deterministic lie applied by a read-only chain view."""
+    """A deterministic lie applied by a read-only chain view: block
+    ``block_number`` shown under ``fake_hash``, holding only the fake tx and
+    event when those are given."""
 
-    kind: str = "none"  # none | substitute_block_hash | fabricate_transfer
-    block_number: int = 0
-    fake_hash: bytes = ZERO32
+    block_number: int
+    fake_hash: bytes
     fake_transaction: Transaction | None = None
     fake_event: EventLog | None = None
 
@@ -213,7 +211,7 @@ def _event_preimage(event: EventLog) -> bytes:
 
 
 class Chain:
-    """Canonical chain plus pending pool, contract registry and side store."""
+    """Canonical chain plus pending pool, contract registry and all blocks."""
 
     def __init__(self, config: ChainConfig):
         self.config = config
@@ -241,7 +239,7 @@ class Chain:
             receipts=(),
         )
         self.blocks: list[Block] = [genesis]
-        self.all_blocks: dict[bytes, Block] = {genesis.block_hash: genesis}
+        self.all_blocks: list[Block] = [genesis]  # orphans too, in order made
         self.tx_index: dict[bytes, int] = {}  # canonical tx hash -> block number
 
     # -- construction helpers ------------------------------------------------
@@ -365,7 +363,7 @@ class Chain:
 
     def _append(self, block: Block) -> None:
         self.blocks.append(block)
-        self.all_blocks[block.block_hash] = block
+        self.all_blocks.append(block)
         for tx in block.transactions:
             self.tx_index[tx.tx_hash] = block.number
         self._marks.append(len(self._log))
@@ -416,20 +414,10 @@ class Chain:
     def head_number(self) -> int:
         return self.blocks[-1].number
 
-    def head_hash(self) -> bytes:
-        return self.blocks[-1].block_hash
-
     def get_block(self, number: int) -> Block | None:
         if 0 <= number <= self.blocks[-1].number:
             return self.blocks[number]
         return None
-
-    def get_block_by_hash(self, block_hash: bytes) -> Block | None:
-        block = self.all_blocks.get(block_hash)
-        if block is None:
-            return None
-        canonical = self.get_block(block.number)
-        return block if canonical is block else None
 
     def get_transaction(self, tx_hash: bytes) -> tuple[Transaction, int] | None:
         number = self.tx_index.get(tx_hash)
@@ -484,28 +472,26 @@ class ChainView:
 
     def __init__(self, chain: Chain, corruption: ViewCorruption | None = None):
         self._chain = chain
-        self.corruption = corruption or ViewCorruption()
+        self.corruption = corruption
         self.network_id = chain.config.network_id
         self.hash_alg = chain.config.hash_alg
 
     def _forged(self) -> Block | None:
         """The block shown at ``corruption.block_number`` (None: honest view,
         or the chain has not sealed that block yet): the real block under
-        the fake hash, or the fabricated tx's block."""
+        the fake hash, holding only the fake tx and event if there are any."""
         c = self.corruption
-        if c.kind not in ("substitute_block_hash", "fabricate_transfer"):
+        if c is None:
             return None
         real = self._chain.get_block(c.block_number)
         if real is None:
             return None
-        if c.kind == "substitute_block_hash":
+        if c.fake_transaction is None and c.fake_event is None:
             return replace(real, block_hash=c.fake_hash)
         txs = (c.fake_transaction,) if c.fake_transaction else ()
-        events = (c.fake_event,) if c.fake_event else ()
-        receipts = tuple(Receipt(t.tx_hash, "ok") for t in txs)
-        return Block(number=c.block_number, block_hash=c.fake_hash,
-                     parent_hash=real.parent_hash, tick=real.tick,
-                     transactions=txs, events=events, receipts=receipts)
+        return replace(real, block_hash=c.fake_hash, transactions=txs,
+                       events=(c.fake_event,) if c.fake_event else (),
+                       receipts=tuple(Receipt(t.tx_hash, "ok") for t in txs))
 
     def head_number(self) -> int:
         return self._chain.head_number()
@@ -518,16 +504,6 @@ class ChainView:
         if forged is not None and number == forged.number:
             return forged
         return self._chain.get_block(number)
-
-    def get_block_by_hash(self, block_hash: bytes) -> Block | None:
-        forged = self._forged()
-        if forged is not None and block_hash == forged.block_hash:
-            return forged
-        block = self._chain.get_block_by_hash(block_hash)
-        if (forged is not None and block is not None
-                and block.number == forged.number):
-            return None  # the real block N is not in this view
-        return block
 
     def get_transaction(self, tx_hash: bytes) -> tuple[Transaction, int] | None:
         forged = self._forged()

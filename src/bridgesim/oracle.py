@@ -1,7 +1,7 @@
 """Independent cross-chain causality auditing.
 
-The oracle reads only ground-truth chain stores (canonical lists plus the
-orphaned-branch side store). It never consults the bridge, the signatories,
+The oracle reads only ground-truth chain stores (canonical lists plus every
+block made, orphans included). It never consults the bridge, the signatories,
 or any adapter's live state, so deleting every protocol actor after a run
 does not change its verdict.
 """
@@ -39,7 +39,6 @@ def causality_oracle(source_chain: Chain, dest_chain: Chain,
                      source_adapter: bytes) -> list[CausalityViolation]:
     """Check every destination Processed event against source ground truth."""
     violations = []
-    canonical_hashes = {b.block_hash for b in source_chain.blocks}
     for block in dest_chain.blocks:
         for ev in block.events:
             if ev.emitter != dest_adapter or ev.name != "Processed":
@@ -47,8 +46,7 @@ def causality_oracle(source_chain: Chain, dest_chain: Chain,
             m = _decode_processed_message(block, ev)
             if m is None:
                 continue
-            reason = _classify(source_chain, source_adapter,
-                               canonical_hashes, m)
+            reason = _classify(source_chain, source_adapter, m)
             if reason is not None:
                 violations.append(CausalityViolation(
                     dest_block_number=block.number,
@@ -67,8 +65,7 @@ def _decode_processed_message(block, ev: EventLog):
     return None
 
 
-def _classify(source_chain: Chain, source_adapter: bytes,
-              canonical_hashes: set, m) -> str | None:
+def _classify(source_chain: Chain, source_adapter: bytes, m) -> str | None:
     # canonical source request with fully matching payload?
     found = source_chain.get_transaction(m.source_transaction_hash)
     if found is not None:
@@ -77,9 +74,9 @@ def _classify(source_chain: Chain, source_adapter: bytes,
         if ev is None:
             return "noSourceRequest"
         return None if _request_matches(ev, m) else "payloadMismatch"
-    # not canonical: did it ever exist on an orphaned branch?
-    for block in source_chain.all_blocks.values():
-        if block.block_hash not in canonical_hashes and _request_matches(
+    # not canonical: was it in a block since replaced at its number?
+    for block in source_chain.all_blocks:
+        if source_chain.blocks[block.number] is not block and _request_matches(
                 request_event(block, m.source_transaction_hash,
                               source_adapter), m):
             return "sourceRequestOrphaned"

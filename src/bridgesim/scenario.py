@@ -593,14 +593,13 @@ class World:
                                "tx out for that id")
         return job.submitted_tx
 
-    def _corruption_from(self, spec: dict) -> ViewCorruption:
+    def _corruption_from(self, spec: dict) -> ViewCorruption | None:
         spec = _with_defaults(CORRUPTION, spec)
         kind = spec["kind"]
         if kind == "none":
-            return ViewCorruption()
+            return None
         if kind == "substitute_block_hash":
             return ViewCorruption(
-                kind=kind,
                 block_number=spec["block_number"],
                 fake_hash=blake2b256(b"substituted:%d" % spec["block_number"]),
             )
@@ -628,7 +627,6 @@ class World:
             block_number=spec["block_number"],
         )
         return ViewCorruption(
-            kind="fabricate_transfer",
             block_number=spec["block_number"],
             fake_hash=blake2b256(b"fabricated-block:%d" % spec["block_number"]),
             fake_transaction=fake_tx,
@@ -753,15 +751,10 @@ class World:
 
     def quiescent(self) -> bool:
         """Nothing is pending: no workload action, message or tx, and the
-        relay is paused (only a workload ``resume`` moves its jobs) or has
-        no live job."""
+        relay is idle."""
         if self._workload or self.bus or self.source.pending or self.dest.pending:
             return False
-        if any(self.inboxes.values()):
-            return False
-        return self.bridge.paused or not (
-            self.bridge.moving or self.bridge.queued) and all(
-            j.state in ("done", "stalled") for j in self.bridge.forged_jobs)
+        return not any(self.inboxes.values()) and self.bridge.idle()
 
     def run(self, on_tick=None) -> ScenarioReport:
         quiet = 0

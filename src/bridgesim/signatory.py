@@ -44,23 +44,20 @@ class SignResponse:
 
 
 class RateLimiter:
-    """Fixed budget of admitted requests per requester per window."""
+    """Fixed budget of admitted requests per window."""
 
     def __init__(self, budget: int, window_ticks: int):
         self.budget = budget
         self.window_ticks = max(1, window_ticks)
-        self._counts: dict[tuple[str, int], int] = {}
+        self._window = self._count = 0  # the current window and its count
 
-    def admit(self, requester: str, tick: int) -> bool:
+    def admit(self, tick: int) -> bool:
         window = tick // self.window_ticks
-        key = (requester, window)
-        count = self._counts.get(key, 0)
-        if count >= self.budget:
+        if window != self._window:
+            self._window, self._count = window, 0
+        if self._count >= self.budget:
             return False
-        self._counts[key] = count + 1
-        # drop stale windows so the table stays bounded
-        for k in [k for k in self._counts if k[1] < window]:
-            del self._counts[k]
+        self._count += 1
         return True
 
 
@@ -84,10 +81,10 @@ class Signatory:
         self.rate_limiter = RateLimiter(rate_budget, rate_window_ticks)
         self.handled = 0  # admitted requests, for rate-limit assertions
 
-    def handle_sign_request(self, req: SigningRequest, tick: int,
-                            requester: str = "bridge") -> SignResponse | None:
+    def handle_sign_request(self, req: SigningRequest,
+                            tick: int) -> SignResponse | None:
         """None models silence: a dropped or refused-to-answer request."""
-        if not self.rate_limiter.admit(requester, tick):
+        if not self.rate_limiter.admit(tick):
             return None
         self.handled += 1
         if self.mode == "refuse":

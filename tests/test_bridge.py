@@ -190,6 +190,41 @@ class TestChainMonitoring:
         assert ("liveness", "dest") in kinds
         assert ("liveness", "source") not in kinds
 
+    N = 10  # the dest block a corrupted relay view shows under a fake hash
+
+    def dest_reorg_alarms(self, workload, ticks):
+        """The dest reorg alarms raised in the first ``ticks`` ticks."""
+        world = World(ScenarioConfig(workload=workload))
+        while world.tick < ticks:
+            world.step()
+        return [a for a in world.bridge.alarms if a[:2] == ("reorg", "dest")]
+
+    def relay_dest_view(self, tick, kind="substitute_block_hash"):
+        """The action that hands the relay a dest view at ``tick``."""
+        corruption = {"kind": kind}
+        if kind != "none":
+            corruption["block_number"] = self.N
+        return {"tick": tick, "action": "faulty_view", "target": "bridge",
+                "chain": "dest", "corruption": corruption}
+
+    def test_substituted_block_hash_raises_no_reorg_alarm(self):
+        workload = [self.relay_dest_view(self.N - 2)]
+        assert self.dest_reorg_alarms(workload, self.N + 20) == []
+
+    def test_honest_view_after_a_substituted_head_raises_one_alarm(self):
+        # block N was the relay's head, under the fake hash, at tick N
+        swap = self.N + 1
+        workload = [self.relay_dest_view(self.N - 2),
+                    self.relay_dest_view(swap, kind="none")]
+        assert self.dest_reorg_alarms(workload, self.N + 20) == [
+            ("reorg", "dest", swap)]
+
+    def test_depth_2_reorg_raises_one_alarm(self):
+        workload = [{"tick": self.N, "action": "inject_reorg",
+                     "chain": "dest", "depth": 2}]
+        assert self.dest_reorg_alarms(workload, self.N + 20) == [
+            ("reorg", "dest", self.N)]
+
     def test_reorg_pause_response(self):
         config = ScenarioConfig(
             reorg_response="pause",

@@ -248,16 +248,15 @@ class TestReorg:
         for n in range(3, 6):
             assert chain.get_block(n).block_hash != old[n]
 
-    def test_orphaned_block_not_reachable_by_hash(self):
+    def test_orphaned_block_replaced_at_its_number(self):
         chain = make_chain()
         for t in range(1, 4):
             chain.mine_block(tick=t)
-        orphan_hash = chain.get_block(3).block_hash
+        orphan = chain.get_block(3)
         chain.inject_reorg(depth=2)
-        assert chain.get_block_by_hash(orphan_hash) is None
-        assert chain.get_block_by_hash(chain.head_hash()) is not None
-        # the side store still remembers it for the harness oracle
-        assert orphan_hash in chain.all_blocks
+        assert chain.get_block(3) is not orphan
+        # every block made is still listed for the harness oracle
+        assert orphan in chain.all_blocks
 
     def test_orphaned_txs_replayed(self):
         chain = make_chain()
@@ -517,8 +516,7 @@ class TestViews:
         for t in range(1, 4):
             chain.mine_block(tick=t)
         fake = blake2b256(b"lie")
-        view = ChainView(chain, ViewCorruption(
-            kind="substitute_block_hash", block_number=2, fake_hash=fake))
+        view = ChainView(chain, ViewCorruption(block_number=2, fake_hash=fake))
         assert view.get_block(2).block_hash == fake
         assert view.get_block(1).block_hash == chain.get_block(1).block_hash
 
@@ -533,7 +531,7 @@ class TestViews:
                            attributes=(("value", b"\x2a"),),
                            tx_hash=fake_tx.tx_hash, block_number=3)
         view = ChainView(chain, ViewCorruption(
-            kind="fabricate_transfer", block_number=3,
+            block_number=3,
             fake_hash=blake2b256(b"fake-block"),
             fake_transaction=fake_tx, fake_event=fake_ev))
         assert view.get_transaction(fake_tx.tx_hash)[0] == fake_tx
@@ -559,17 +557,16 @@ class TestViews:
                            attributes=(("value", b"\x2a"),),
                            tx_hash=fake_tx.tx_hash, block_number=2)
         view = ChainView(chain, ViewCorruption(
-            kind="fabricate_transfer", block_number=2,
+            block_number=2,
             fake_hash=blake2b256(b"fake-block"),
             fake_transaction=fake_tx, fake_event=fake_ev))
         assert view.get_events(STORE, None, 0, 2) == [fake_ev]
         assert view.get_events(None, "ValueChanged", 2, 2) == [fake_ev]
-        assert view.get_block_by_hash(real.block_hash) is None
         shown = view.get_block(2)
+        assert shown.block_hash != real.block_hash
         assert view.head_hash() == shown.block_hash == blake2b256(b"fake-block")
-        assert view.get_block_by_hash(shown.block_hash) == shown
-        assert view.get_block_by_hash(chain.get_block(1).block_hash) == \
-            chain.get_block(1)
+        assert shown.transactions == (fake_tx,) and shown.events == (fake_ev,)
+        assert view.get_block(1) is chain.get_block(1)
 
     def test_fabricated_block_hidden_until_chain_seals_it(self):
         from bridgesim import ChainView, EventLog, Transaction, ViewCorruption
@@ -581,7 +578,7 @@ class TestViews:
                            attributes=(("value", b"\x2a"),),
                            tx_hash=fake_tx.tx_hash, block_number=5)
         view = ChainView(chain, ViewCorruption(
-            kind="fabricate_transfer", block_number=5,
+            block_number=5,
             fake_hash=blake2b256(b"fake-block"),
             fake_transaction=fake_tx, fake_event=fake_ev))
         # head 1: block 5 does not exist yet, in the view as on the chain
