@@ -10,11 +10,13 @@ For each width W it prints the microseconds of:
   bytes (an empty block's hash preimage: number, parent hash, tick, salt)
   and of W two-block messages of 200 bytes (the size of a tx or an event
   preimage);
-- one block hash over W txs and W events: the W 200-byte event preimages
-  and a header of 56 + 32 W bytes followed by their digests, hashed by
-  `keccak256_after` (``header_us``, the header's whole blocks riding in the
-  events' permutations) and by `keccak256_many` then `keccak256`
-  (``plain_us``).
+- block sealing: the header of a block with W txs and W events (number,
+  parent hash, tick, salt and W tx hashes, 56 + 32 W bytes, then W event
+  digests) hashed along with the next block's runs, a batch of W 200-byte
+  tx preimages and a batch of W 200-byte event preimages. ``header_us``
+  carries the header in both runs (`keccak.Sponge`, one block per
+  permutation, the rest at W = 1), as a chain does; ``plain_us`` runs the
+  two batches alone and finishes the header at W = 1.
 
 Below the table, one row for W = 5 tx-shaped messages of 196 bytes (a
 request tx's preimage; 5 of them share 4 first blocks, as 5 requests from 4
@@ -71,25 +73,33 @@ def main(argv=None) -> int:
 
     from bridgesim import keccak
 
-    def plain(prefix, datas):
-        digests = keccak.keccak256_many(datas)
-        return digests, keccak.keccak256(prefix + b"".join(digests))
+    def carried(header, txs, events):
+        sponge = keccak.Sponge(header)
+        return (keccak.keccak256_many(txs, carry=sponge),
+                keccak.keccak256_many(events, carry=sponge), sponge())
+
+    def plain(header, txs, events):
+        return (keccak.keccak256_many(txs), keccak.keccak256_many(events),
+                keccak.Sponge(header)())
 
     rng = random.Random(7)
-    states, short, long, prefix = {}, {}, {}, {}
+    states, short, long, events, header = {}, {}, {}, {}, {}
     for w in WIDTHS:
         mask = keccak._width(w)[0]
         states[w] = [rng.getrandbits(128 * w) & mask for _ in range(25)]
         short[w] = [rng.randbytes(SHORT) for _ in range(w)]
         long[w] = [rng.randbytes(LONG) for _ in range(w)]
-        prefix[w] = rng.randbytes(SHORT + 32 * w)
+        events[w] = [rng.randbytes(LONG) for _ in range(w)]
+        header[w] = rng.randbytes(SHORT + 32 * w) + b"".join(
+            keccak.keccak256(m) for m in events[w])
         one_at_a_time = [keccak.keccak256(m) for m in long[w]]
-        header = keccak.keccak256(prefix[w] + b"".join(one_at_a_time))
+        sealed = (one_at_a_time, [keccak.keccak256(m) for m in events[w]],
+                  keccak.keccak256(header[w]))
         if (keccak.keccak256_many(short[w]) != [
                 keccak.keccak256(m) for m in short[w]]
                 or keccak.keccak256_many(long[w]) != one_at_a_time
-                or keccak.keccak256_after(prefix[w], long[w]) != (
-                    one_at_a_time, header)):
+                or carried(header[w], long[w], events[w]) != sealed
+                or plain(header[w], long[w], events[w]) != sealed):
             print(f"W={w}: a batch differs from keccak256")
             return 1
     heads = [rng.randbytes(keccak._RATE) for _ in range(TX_HEADS)]
@@ -132,10 +142,9 @@ def main(argv=None) -> int:
                                   ("message200_us", long[w])):
                 t[column].append(per_call(
                     lambda: keccak.keccak256_many(batch), CALLS) / w)
-            for column, fn in (("header_us", keccak.keccak256_after),
-                               ("plain_us", plain)):
+            for column, fn in (("header_us", carried), ("plain_us", plain)):
                 t[column].append(per_call(
-                    lambda: fn(prefix[w], long[w]), CALLS))
+                    lambda: fn(header[w], long[w], events[w]), CALLS))
             if w == TX_W:
                 tx_times["remembered_us"].append(per_call(
                     lambda: keccak.keccak256_many(txs, warm), CALLS) / w)

@@ -58,7 +58,7 @@ from .adapter import (
     event_attr,
     message_from_request_event,
 )
-from .chain import Chain, ChainView
+from .chain import Block, Chain, ChainView
 from .codec import (
     SIGNATURE_LEN,
     Keypair,
@@ -96,7 +96,8 @@ class TransferJob:
     state: str = "detected"
     attempts: int = 0
     source_block_number: int = 0
-    source_block_hash: bytes = b""
+    source_block: Block | None = None  # where the scan saw the request
+    source_block_hash: bytes = b""  # a forged job's claimed hash
     digest: bytes = b""
     request_tick: int = -1
     transient_refusal: bool = False
@@ -162,7 +163,7 @@ class _JobTable(UserDict):
 
 @dataclass
 class ChainStatus:
-    last_seen_head: tuple  # (number, hash) of the head last seen
+    last_seen_head: Block
     ticks_since_new_block: int = 0
 
 
@@ -190,11 +191,8 @@ class BridgeNode:
         self.dest_cursor = 0
         self.inflight: TransferJob | None = None
         self.status = {
-            "source": ChainStatus((source_view.head_number(),
-                                   source_view.head_hash())),
-            "dest": ChainStatus((dest_view.head_number(),
-                                 dest_view.head_hash())),
-        }
+            name: ChainStatus(view.get_block(view.head_number()))
+            for name, view in (("source", source_view), ("dest", dest_view))}
         # job records, written by _persist alone
         self._records: dict[int, tuple] = {}  # real id -> record, in job order
         self._forged: dict[int, tuple] = {}  # place in forged_jobs -> record
@@ -334,24 +332,27 @@ class BridgeNode:
     def monitor_chain_status(self, name: str, view: ChainView,
                              tick: int) -> None:
         st = self.status[name]
-        prev_number, prev_hash = st.last_seen_head
-        head_number = view.head_number()
-        head_hash = view.head_hash()
-        if head_number == prev_number and head_hash == prev_hash:
+        prev = st.last_seen_head
+        head = view.get_block(view.head_number())
+        # blocks are compared as objects first, so a hash is read only when
+        # they differ: the head's hash is not read in the tick it is sealed
+        if head is prev or (head.number == prev.number
+                            and head.block_hash == prev.block_hash):
             st.ticks_since_new_block += 1
             if st.ticks_since_new_block == self.config.liveness_timeout_ticks:
                 self.alarms.append(("liveness", name, tick))
         else:
             st.ticks_since_new_block = 0
-        # a reorg seals depth + 1 blocks, so block prev_number still exists
-        if view.get_block(prev_number).block_hash != prev_hash:
+        # a reorg seals depth + 1 blocks, so block prev.number still exists
+        shown = view.get_block(prev.number)
+        if shown is not prev and shown.block_hash != prev.block_hash:
             self.alarms.append(("reorg", name, tick))
             if self.config.reorg_response == "pause":
                 self.paused = True
             elif self.config.reorg_response == "retry" and name == "source":
-                finalized = max(0, head_number - self.config.source_finality)
+                finalized = max(0, head.number - self.config.source_finality)
                 self.source_cursor = min(self.source_cursor, finalized)
-        st.last_seen_head = (head_number, head_hash)
+        st.last_seen_head = head
 
     # -- main loop -----------------------------------------------------------
 
@@ -395,11 +396,10 @@ class BridgeNode:
             transfer_id = transfer.source_transfer_id
             if transfer_id in self.jobs:
                 continue
-            block = self.source_view.get_block(ev.block_number)
             job = TransferJob(
                 transfer=transfer,
                 source_block_number=ev.block_number,
-                source_block_hash=block.block_hash if block else b"",
+                source_block=self.source_view.get_block(ev.block_number),
             )
             self.jobs[transfer_id] = job
             self._transition(tick, job, "awaitingFinality",
@@ -491,7 +491,8 @@ class BridgeNode:
     def _broadcast_request(self, job: TransferJob, tick: int) -> None:
         req = SigningRequest(
             source_block_number=job.source_block_number,
-            source_block_hash=job.source_block_hash,
+            source_block_hash=(job.source_block.block_hash if job.source_block
+                               else job.source_block_hash),
             source_transaction_hash=job.transfer.source_transaction_hash,
             transfer_data_hash=job.digest,
             transfer=job.transfer,

@@ -4,7 +4,10 @@ One `Chain` owns a canonical list of blocks, a pending transaction pool, the
 registered contract handlers and their state, and account balances. Every
 block ever produced (including orphaned branches) is kept in `all_blocks`, in
 the order made, which only the harness oracle reads; protocol actors see
-canonical data only, found by block number.
+canonical data only, found by block number. A block's hash is computed when
+first needed (`Block.block_hash`); until then a keccak block's header rides
+in its chain's next packed runs (`keccak.Sponge`), so a chain holds at most
+one unfinished header: the last block made's.
 
 State is rolled back by one undo log: every write to `balances`,
 `executed_seq` or a registered contract's `state` (nested maps included)
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
-from .codec import HASH_ALGS, hash_after, hash_bytes, hash_many
+from .codec import HASH_ALGS, hash_bytes, hash_header, hash_many
 
 ZERO32 = b"\x00" * 32
 _ABSENT = object()  # undo-log prior value of a key that did not exist
@@ -123,16 +126,42 @@ class Receipt:
     reason: str = ""
 
 
+class _HashOnFirstRead:
+    """`Block.block_hash`: the hash ``header`` holds, or computes if it is a
+    callable, stored in the block on the first read, so that later reads
+    are plain attribute reads."""
+
+    def __get__(self, block, owner=None):
+        if block is None:
+            return self
+        h = block.header
+        if type(h) is not bytes:
+            h = block.__dict__["header"] = h()
+        block.__dict__["block_hash"] = h
+        return h
+
+
 @dataclass(frozen=True)
 class Block:
     number: int
-    block_hash: bytes
+    # the block hash, or until `block_hash` is first read a callable that
+    # computes it: a keccak header riding in its chain's next runs
+    # (`codec.hash_header`)
+    header: object = field(repr=False, compare=False)
     parent_hash: bytes
     tick: int
     transactions: tuple
     events: tuple
     receipts: tuple
     salt: int = 0  # production counter; distinguishes competing branches
+    # hash of number, parent hash, tick, salt, the tx hashes and the event
+    # hashes, concatenated; computed when first needed
+    block_hash = _HashOnFirstRead()
+
+    def __getstate__(self) -> dict:
+        # pickled and copied with its hash, whether or not it was read yet
+        h = self.block_hash
+        return {**vars(self), "header": h, "block_hash": h}
 
 
 @dataclass(frozen=True)
@@ -231,7 +260,8 @@ class Chain:
         self.tick = 0
         genesis = Block(
             number=0,
-            block_hash=self._block_hash(0, ZERO32, 0, 0, (), ()),
+            # number, parent hash, tick and salt, all zero; no tx or event
+            header=hash_header(config.hash_alg, None, lambda: bytes(56), [])[1],
             parent_hash=ZERO32,
             tick=0,
             transactions=(),
@@ -258,7 +288,8 @@ class Chain:
         """One tx for each ``(sender, recipient, payload, value)``, seqs
         assigned in order, every tx hash computed in one `hash_many` batch.
         On a keccak chain a preimage whose first block an earlier tx of this
-        chain shared starts from that block's remembered state."""
+        chain shared starts from that block's remembered state, and the
+        last block's header rides in the batch's run if it is unfinished."""
         fields, preimages = [], []
         for sender, recipient, payload, value in specs:
             seq = self._next_seq.get(sender, 0)
@@ -266,7 +297,8 @@ class Chain:
             fields.append((sender, recipient, payload, value, seq))
             preimages.append(_tx_preimage(sender, recipient, payload, value, seq))
         txs = []
-        digests = hash_many(self.config.hash_alg, preimages, self._first_blocks)
+        digests = hash_many(self.config.hash_alg, preimages, self._first_blocks,
+                            self.all_blocks[-1].header)
         for tx_hash, f in zip(digests, fields):
             tx = Transaction(tx_hash, *f)
             self._built[tx_hash] = tx
@@ -276,15 +308,6 @@ class Chain:
     def _tx_hash(self, sender, recipient, payload, value, seq) -> bytes:
         return hash_bytes(self.config.hash_alg,
                           _tx_preimage(sender, recipient, payload, value, seq))
-
-    def _block_hash(self, number, parent_hash, tick, salt, txs, events) -> bytes:
-        """Hash of number, parent hash, tick, salt, the tx hashes and the
-        event hashes, concatenated."""
-        prefix = b"".join([number.to_bytes(8, "big"), parent_hash,
-                           tick.to_bytes(8, "big"), salt.to_bytes(8, "big"),
-                           *[t.tx_hash for t in txs]])
-        return hash_after(self.config.hash_alg, prefix,
-                          [_event_preimage(e) for e in events])[1]
 
     # -- core operations -----------------------------------------------------
 
@@ -322,8 +345,8 @@ class Chain:
         sequence is gapped, so dependents of a dropped tx never land
         out of order.
         """
-        number = self.blocks[-1].number + 1
-        parent = self.blocks[-1].block_hash
+        parent = self.blocks[-1]
+        number = parent.number + 1
         included: list[Transaction] = []
         events: list[EventLog] = []
         receipts: list[Receipt] = []
@@ -349,16 +372,29 @@ class Chain:
                     events.append(EventLog(emitter, name, attrs,
                                            tx.tx_hash, number))
         self._produced += 1
+        salt, last = self._produced, self.all_blocks[-1]
+
+        def prefix() -> bytes:  # the header up to its event hashes
+            return b"".join([number.to_bytes(8, "big"), parent.block_hash,
+                             tick.to_bytes(8, "big"), salt.to_bytes(8, "big"),
+                             *[t.tx_hash for t in included]])
+
+        # the last block's header, if unfinished, rides first in the events'
+        # run; prefix() reads the parent's hash and the line below an
+        # orphaned head's, so only the new block's header may stay unfinished
+        header = hash_header(self.config.hash_alg, last.header, prefix,
+                             [_event_preimage(e) for e in events])[1]
+        if last is not parent:
+            last.block_hash
         return Block(
             number=number,
-            block_hash=self._block_hash(number, parent, tick, self._produced,
-                                        tuple(included), tuple(events)),
-            parent_hash=parent,
+            header=header,
+            parent_hash=parent.block_hash,
             tick=tick,
             transactions=tuple(included),
             events=tuple(events),
             receipts=tuple(receipts),
-            salt=self._produced,
+            salt=salt,
         )
 
     def _append(self, block: Block) -> None:
@@ -467,7 +503,9 @@ class ChainView:
     the underlying ledger. Once the chain has sealed block
     ``corruption.block_number``, every read shows one forged block
     (`_forged`) in its place, hiding the real block N, its hash and its
-    events; tx reads look in the forged block first.
+    events; tx reads look in the forged block first. The view makes one
+    forged block per real block N, so reads see the same object until a
+    reorg replaces block N. An honest view's reads are the chain's own.
     """
 
     def __init__(self, chain: Chain, corruption: ViewCorruption | None = None):
@@ -475,29 +513,35 @@ class ChainView:
         self.corruption = corruption
         self.network_id = chain.config.network_id
         self.hash_alg = chain.config.hash_alg
+        self._forgery: tuple[Block, Block] | None = None  # (real, forged)
+        if corruption is None:
+            for read in ("head_number", "get_block", "get_transaction",
+                         "get_receipt", "get_events", "confirmations"):
+                setattr(self, read, getattr(chain, read))
 
     def _forged(self) -> Block | None:
-        """The block shown at ``corruption.block_number`` (None: honest view,
-        or the chain has not sealed that block yet): the real block under
-        the fake hash, holding only the fake tx and event if there are any."""
+        """The block shown at ``corruption.block_number`` (None: the chain
+        has not sealed that block yet): the real block under the fake hash,
+        holding only the fake tx and event if there are any."""
         c = self.corruption
-        if c is None:
-            return None
         real = self._chain.get_block(c.block_number)
         if real is None:
             return None
+        if self._forgery is not None and self._forgery[0] is real:
+            return self._forgery[1]
         if c.fake_transaction is None and c.fake_event is None:
-            return replace(real, block_hash=c.fake_hash)
-        txs = (c.fake_transaction,) if c.fake_transaction else ()
-        return replace(real, block_hash=c.fake_hash, transactions=txs,
-                       events=(c.fake_event,) if c.fake_event else (),
-                       receipts=tuple(Receipt(t.tx_hash, "ok") for t in txs))
+            forged = replace(real, header=c.fake_hash)
+        else:
+            txs = (c.fake_transaction,) if c.fake_transaction else ()
+            forged = replace(
+                real, header=c.fake_hash, transactions=txs,
+                events=(c.fake_event,) if c.fake_event else (),
+                receipts=tuple(Receipt(t.tx_hash, "ok") for t in txs))
+        self._forgery = (real, forged)
+        return forged
 
     def head_number(self) -> int:
         return self._chain.head_number()
-
-    def head_hash(self) -> bytes:
-        return self.get_block(self.head_number()).block_hash
 
     def get_block(self, number: int) -> Block | None:
         forged = self._forged()

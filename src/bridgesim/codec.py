@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .keccak import keccak256, keccak256_after, keccak256_many
+from .keccak import keccak256, keccak256_header, keccak256_many
 
 WORD = 32
 SIGNATURE_LEN = 64
@@ -62,25 +62,32 @@ def hash_bytes(alg: str, data: bytes) -> bytes:
         raise EncodingError(f"unknown hash algorithm: {alg}") from None
 
 
-def hash_many(alg: str, datas: list[bytes], memo=None) -> list[bytes]:
+def hash_many(alg: str, datas: list[bytes], memo=None,
+              carry=None) -> list[bytes]:
     """`hash_bytes` of each of ``datas``; keccak hashes them side by side,
     starting each message from its first block's state in ``memo`` (see
-    `keccak256_many`) if one is given. Other algorithms ignore ``memo``."""
+    `keccak256_many`) if one is given, with the blocks the header ``carry``
+    (from `hash_header`) lacks riding along if it is unfinished. Other
+    algorithms ignore ``memo`` and ``carry``."""
     if alg == "keccak256":
-        return keccak256_many(datas, memo)
+        return keccak256_many(datas, memo, carry)
     return [hash_bytes(alg, data) for data in datas]
 
 
-def hash_after(alg: str, prefix: bytes,
-               datas: list[bytes]) -> tuple[list[bytes], bytes]:
-    """``(digests, header)``: ``digests`` is `hash_many` of ``datas`` and
-    ``header`` the `hash_bytes` of ``prefix`` followed by those digests.
-    Keccak absorbs the whole blocks of ``prefix`` in the permutations that
-    hash ``datas``."""
+def hash_header(alg: str, carry, prefix,
+                datas: list[bytes]) -> tuple[list[bytes], object]:
+    """``(digests, header)``: ``digests`` is `hash_many` of ``datas``, and
+    ``header`` the `hash_bytes` of ``prefix()`` followed by those digests,
+    or a callable that returns it. Keccak first absorbs the blocks the
+    header ``carry`` lacks, if it is unfinished, in the run that hashes
+    ``datas``, then the prefix's whole blocks, and returns
+    the header as a `Sponge` whose rest rides in the next runs that carry
+    it (`keccak256_header`). Other algorithms have no runs to ride: the
+    header is one hash call, made here."""
     if alg == "keccak256":
-        return keccak256_after(prefix, datas)
+        return keccak256_header(carry, prefix, datas)
     digests = hash_many(alg, datas)
-    return digests, hash_bytes(alg, prefix + b"".join(digests))
+    return digests, hash_bytes(alg, prefix() + b"".join(digests))
 
 
 def parse_signature(signature: str) -> tuple[str, list[str]]:

@@ -55,13 +55,15 @@ message's digest is read after its last block; a slot whose message has
 ended absorbs zero blocks until the run ends. A batch costs as many
 permutations as its longest message has blocks left to absorb.
 
-`keccak256_after` hashes a batch and then a header: a prefix followed by
-the batch's digests, as a block hash covers its tx and event hashes. The
-prefix's whole blocks are known before any digest is, so they take one
-more slot of the batch's run, one block per permutation, up to as many as
-the run has; the header sponge goes on from that slot at W = 1. A slot
-costs little next to a permutation, so each such block saves about one
-W = 1 permutation.
+A block header is pipelined into its chain's next runs (the stage overlap
+of software pipelining, Lam, PLDI 1988) as a `Sponge`, a message absorbed
+over several runs. A run's header slot absorbs one block per permutation:
+first the blocks the chain's unfinished header (``carry``) lacks, its
+digest read after its last; then, in a sealing run (`keccak256_header`),
+the new header's whole prefix blocks, which hold that digest as the parent
+hash. The rest waits for the next tx batch (`keccak256_many`) and seal. A
+hash read before then absorbs what is left at W = 1, so a slot saves about
+one W = 1 permutation per block that rides.
 
 `keccak256_many` takes an optional memo from its caller that maps a
 message's first 136-byte block to the 25 lanes after one Keccak-f
@@ -77,8 +79,8 @@ recipient, payload length and the call's head come first, so a sender's
 request txs repeat their first block, and the varying argument, value and
 seq fall in the second. Event preimages and block headers hash without
 it: a request event's first block holds its ``transferId`` and a header's
-its block number, so they never repeat, and a header's first blocks
-already ride in the events' run.
+its block number, so they never repeat, and a header's blocks ride in
+the header slot.
 """
 
 import struct
@@ -224,7 +226,29 @@ def _slots(w: int) -> struct.Struct:
     return struct.Struct("<" + "Q8x" * w)
 
 
-def _hash_batch(datas, prefix=b"", memo=None) -> tuple[list, list | None, int]:
+class Sponge:
+    """A message hashed over several packed runs: the blocks of ``padded``
+    before byte ``offset`` are absorbed into ``state`` (None: none yet), and
+    the run that absorbs its last sets ``digest``. Calling it returns the
+    digest, absorbing what is left at W = 1 first."""
+
+    __slots__ = ("padded", "offset", "state", "digest")
+
+    def __init__(self, data: bytes, state=None, offset: int = 0):
+        self.padded, self.offset, self.state = _pad(data), offset, state
+        self.digest = None
+
+    def __call__(self) -> bytes:
+        if self.digest is None:
+            self._finish(_squeeze(list(self.state or _ZERO_STATE),
+                                  self.padded, self.offset))
+        return self.digest
+
+    def _finish(self, digest: bytes) -> None:
+        self.digest, self.padded, self.state = digest, None, None
+
+
+def _hash_batch(datas, memo=None, carry=None, prefix=None):
     """Hash ``datas`` in one packed run: each message takes a slot, every
     slot absorbs one block per permutation, and a message's digest is read
     after its last block.
@@ -233,10 +257,15 @@ def _hash_batch(datas, prefix=b"", memo=None) -> tuple[list, list | None, int]:
     starts from its first block's state if the memo holds it; otherwise it
     starts from zero and its state after the first permutation is stored,
     and past ``FIRST_BLOCK_MEMO_SIZE`` entries the one stored first is
-    dropped. The whole blocks at the start of ``prefix``, at most as many
-    as the run has permutations, take one more slot. Returns the digests,
-    that slot's state after its last block and the number of blocks it
-    absorbed (None and 0 if it took none)."""
+    dropped.
+
+    One more slot, the header slot, absorbs the blocks ``carry`` lacks, if
+    it is an unfinished `Sponge` (a finished hash carries nothing), as many
+    as the run has, and reads its digest after its last. Then ``prefix()``,
+    the start of a new header (called after that block or after the run),
+    gives its whole blocks to the cleared slot in the permutations left.
+    Returns the digests and, with a ``prefix``, a `Sponge` of the prefix
+    followed by them (else None)."""
     padded = [_pad(data) for data in datas]
     starts = [None] * len(datas)
     misses = {}  # a first block the memo lacks -> the slot that stores it
@@ -251,12 +280,19 @@ def _hash_batch(datas, prefix=b"", memo=None) -> tuple[list, list | None, int]:
                     misses.setdefault(first, i)
     ends = [len(p) // _RATE for p in padded]  # blocks each message absorbs
     run = max(ends, default=0)
-    rode = min(len(prefix) // _RATE, run)
-    if rode:
-        padded.append(prefix[:rode * _RATE])
+    left = 0  # the blocks carry lacks
+    if type(carry) is Sponge and carry.digest is None:
+        left = (len(carry.padded) - carry.offset) // _RATE
+    pre = prefix() if prefix is not None and not left else None
+    rode = min(len(pre) // _RATE, run) if pre is not None else 0
+    if left and run:  # the header slot: carry's blocks first
+        padded.append(carry.padded[carry.offset:carry.offset + run * _RATE])
+        starts.append(carry.state)
+    elif rode:  # the header slot: the prefix's whole blocks
+        padded.append(pre[:rode * _RATE])
         starts.append(None)
     w = len(padded)
-    slots = _slots(w)
+    slots, top = _slots(w), 128 * (w - 1)  # the header slot's lowest bit
     padded = [p.ljust(run * _RATE, b"\0") for p in padded]
     s = ([int.from_bytes(slots.pack(*lanes), "little")
           for lanes in zip(*[st or _ZERO_STATE for st in starts])]
@@ -274,30 +310,48 @@ def _hash_batch(datas, prefix=b"", memo=None) -> tuple[list, list | None, int]:
                 memo[first] = states[i]
                 if len(memo) > FIRST_BLOCK_MEMO_SIZE:
                     memo.popitem(last=False)
-        if n == rode:
-            head = [x >> 128 * (w - 1) for x in s]  # the top slot's lanes
+        if n == left:  # carry's last block: read its digest, clear the slot
+            carry._finish(_pack_digest(*[x >> top for x in s[:4]]))
+            low = (1 << top) - 1
+            s[:] = [x & low for x in s]
+            if prefix is not None:
+                pre = prefix()
+                rode = min(len(pre) // _RATE, run - n)
+                padded[-1] = (padded[-1][:n * _RATE] + pre[:rode * _RATE]
+                              ).ljust(run * _RATE, b"\0")
+        elif n == run and left > run:  # carry goes on in a later run
+            carry.state = tuple(x >> top for x in s)
+            carry.offset += run * _RATE
+        if rode and n == left + rode:  # the new header's last whole block
+            head = tuple(x >> top for x in s)
         done = [i for i, blocks in enumerate(ends) if blocks == n]
         if done:
             digests = list(zip(*[slots.unpack(x.to_bytes(slots.size, "little"))
                                  for x in s[:4]]))
             for i in done:
                 out[i] = _pack_digest(*digests[i])
-    return out, head, rode
+    if prefix is None:
+        return out, None
+    if pre is None:  # carry outlasted the run
+        pre = prefix()
+    return out, Sponge(pre + b"".join(out), head, rode * _RATE)
 
 
-def keccak256_many(datas, memo=None) -> list[bytes]:
+def keccak256_many(datas, memo=None, carry=None) -> list[bytes]:
     """Keccak-256 digest of each of ``datas``, in order. ``memo``, an
     `OrderedDict` its caller keeps, maps a message's first block to the
     sponge state after it, so a batch whose messages repeat an earlier
-    first block skips that block's permutation."""
-    return _hash_batch(datas, memo=memo)[0]
+    first block skips that block's permutation. The blocks an unfinished
+    `Sponge` ``carry`` lacks ride in the run, as many as it has
+    permutations."""
+    return _hash_batch(datas, memo, carry)[0]
 
 
-def keccak256_after(prefix: bytes, datas) -> tuple[list[bytes], bytes]:
-    """``(digests, header)``: ``digests`` is `keccak256_many` of ``datas`` and
-    ``header`` the Keccak-256 of ``prefix`` followed by those digests. The
-    header's first whole blocks come from ``prefix`` alone, so they are
-    absorbed in the digests' packed run; the rest at W = 1."""
-    out, head, rode = _hash_batch(datas, prefix)
-    return out, _squeeze(head or [0] * 25, _pad(prefix + b"".join(out)),
-                         rode * _RATE)
+def keccak256_header(carry, prefix, datas) -> tuple[list[bytes], Sponge]:
+    """``(digests, header)``: ``digests`` is `keccak256_many` of ``datas``
+    and ``header`` a `Sponge` of ``prefix()`` followed by those digests.
+    The run's header slot first absorbs the blocks an unfinished `Sponge`
+    ``carry`` lacks, then the prefix's whole blocks. ``prefix`` is called after
+    ``carry``'s last block, or after the run if that falls beyond it, so it
+    may read ``carry()``."""
+    return _hash_batch(datas, carry=carry, prefix=prefix)

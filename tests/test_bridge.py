@@ -219,6 +219,22 @@ class TestChainMonitoring:
         assert self.dest_reorg_alarms(workload, self.N + 20) == [
             ("reorg", "dest", swap)]
 
+    def test_reorg_of_a_substituted_block(self):
+        # a dest reorg replaces block N, which the relay's view shows under
+        # the fake hash: the new block N is another object under the same
+        # fake hash, so only a replaced block that the relay saw under its
+        # own hash raises an alarm
+        def reorg(tick, depth):
+            return [self.relay_dest_view(self.N - 2),
+                    {"tick": tick, "action": "inject_reorg", "chain": "dest",
+                     "depth": depth}]
+
+        # the head, N, is replaced
+        assert self.dest_reorg_alarms(reorg(self.N + 1, 1), self.N + 20) == []
+        # N + 2, the head, and N below it are replaced
+        assert self.dest_reorg_alarms(reorg(self.N + 3, 3), self.N + 20) == [
+            ("reorg", "dest", self.N + 3)]
+
     def test_depth_2_reorg_raises_one_alarm(self):
         workload = [{"tick": self.N, "action": "inject_reorg",
                      "chain": "dest", "depth": 2}]

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgesim import (
@@ -17,8 +17,9 @@ from bridgesim import (
     blake2b256,
     encode_function_call,
 )
-from bridgesim.chain import ChainError, Revert, _tx_preimage
+from bridgesim.chain import ChainError, Revert, _event_preimage, _tx_preimage
 from bridgesim.codec import hash_bytes
+from bridgesim.keccak import Sponge
 from keccak_ref import keccak256_ref
 from state_dump import dump_state
 
@@ -35,6 +36,17 @@ def make_chain(alg="keccak256", finality=6) -> Chain:
     chain.register_contract(StorageContract(STORE))
     chain.balances[ALICE] = 1_000_000
     return chain
+
+
+def reference_hash(block) -> bytes:
+    """``block``'s hash from scratch, on a keccak chain: the reference
+    Keccak-256 of number, parent hash, tick, salt, the tx hashes and the
+    event hashes."""
+    return keccak256_ref(b"".join([
+        block.number.to_bytes(8, "big"), block.parent_hash,
+        block.tick.to_bytes(8, "big"), block.salt.to_bytes(8, "big"),
+        *[tx.tx_hash for tx in block.transactions],
+        *[keccak256_ref(_event_preimage(e)) for e in block.events]]))
 
 
 def set_value(chain: Chain, value: int, sender=ALICE):
@@ -227,9 +239,7 @@ class TestCanonicalReads:
             block = chain.get_block(number)
             parent = chain.get_block(number - 1)
             assert block.parent_hash == parent.block_hash
-            assert block.block_hash == chain._block_hash(
-                block.number, block.parent_hash, block.tick, block.salt,
-                block.transactions, block.events)
+            assert block.block_hash == reference_hash(block)
 
 
 class TestReorg:
@@ -499,6 +509,47 @@ class TestDeterminism:
         assert before & after == {chain.get_block(1).block_hash}
 
 
+class TestHeaderPipeline:
+    """A keccak block's header finishes in its chain's next runs, or at
+    once when its hash is read first."""
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 100)),
+                    max_size=30))
+    @example([(0, 5), (1, 0), (0, 5), (1, 0), (3, 0), (4, 100), (0, 3),
+              (2, 0), (4, 3)])
+    @settings(max_examples=40, deadline=None)
+    def test_every_hash_equals_reference(self, ops):
+        chain = make_chain()
+        for step, (op, arg) in enumerate(ops, 1):
+            head = chain.head_number()
+            if op == 0:  # a batch of 1-6 txs
+                specs = [(sender, STORE, encode_function_call(
+                    "setValue(uint128)", [arg + k]), 0)
+                    for k, sender in enumerate([ALICE, BOB, CAROL] * 2)]
+                for tx in chain.make_transactions(specs[:1 + arg % 6]):
+                    chain.submit_transaction(tx)
+            elif op == 1:  # loaded if txs are pending, else idle
+                chain.mine_block(tick=step)
+            elif op == 2:  # one block, then an idle one
+                chain.mine_block(tick=step)
+                chain.mine_block(tick=step)
+            elif op == 3 and head >= 1:
+                chain.inject_reorg(depth=1 + arg % head)
+            elif op == 4:  # read a hash, the head's included
+                block = chain.get_block(arg % (head + 1))
+                assert block.block_hash == reference_hash(block)
+            # at most one unfinished header: the last block made's
+            unfinished = [b for b in chain.all_blocks
+                          if type(b.header) is Sponge
+                          and b.header.digest is None]
+            assert unfinished in ([], chain.all_blocks[-1:])
+        for block in chain.all_blocks:
+            assert block.block_hash == reference_hash(block)
+        for number in range(1, chain.head_number() + 1):
+            assert (chain.get_block(number).parent_hash
+                    == chain.get_block(number - 1).block_hash)
+
+
 class TestViews:
     def test_clean_view_mirrors_chain(self):
         chain = make_chain()
@@ -519,6 +570,20 @@ class TestViews:
         view = ChainView(chain, ViewCorruption(block_number=2, fake_hash=fake))
         assert view.get_block(2).block_hash == fake
         assert view.get_block(1).block_hash == chain.get_block(1).block_hash
+
+    def test_one_forged_block_per_real_block(self):
+        from bridgesim import ChainView, ViewCorruption
+        chain = make_chain()
+        for t in range(1, 4):
+            chain.mine_block(tick=t)
+        fake = blake2b256(b"lie")
+        view = ChainView(chain, ViewCorruption(block_number=2, fake_hash=fake))
+        shown = view.get_block(2)
+        assert view.get_block(2) is shown  # the same object on every read
+        chain.inject_reorg(depth=2)  # a new real block 2
+        again = view.get_block(2)
+        assert again is not shown and again.block_hash == fake
+        assert again.salt == chain.get_block(2).salt != shown.salt
 
     def test_fabricated_transfer_visible_only_through_view(self):
         from bridgesim import ChainView, EventLog, Transaction, ViewCorruption
@@ -564,7 +629,8 @@ class TestViews:
         assert view.get_events(None, "ValueChanged", 2, 2) == [fake_ev]
         shown = view.get_block(2)
         assert shown.block_hash != real.block_hash
-        assert view.head_hash() == shown.block_hash == blake2b256(b"fake-block")
+        head = view.get_block(view.head_number())
+        assert head.block_hash == shown.block_hash == blake2b256(b"fake-block")
         assert shown.transactions == (fake_tx,) and shown.events == (fake_ev,)
         assert view.get_block(1) is chain.get_block(1)
 

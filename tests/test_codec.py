@@ -4,6 +4,7 @@ import hashlib
 import pathlib
 import random
 from collections import OrderedDict
+from functools import partial
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -27,8 +28,8 @@ from bridgesim.codec import (
     SIGNATURE_LEN,
     SIGNED_MEMO_SIZE,
     decode_function_call,
-    hash_after,
     hash_bytes,
+    hash_header,
     hash_many,
     parse_signature,
     selector,
@@ -40,7 +41,8 @@ from bridgesim.keccak import (
     _RATE,
     _permute,
     _width,
-    keccak256_after,
+    Sponge,
+    keccak256_header,
     keccak256_many,
 )
 
@@ -166,27 +168,52 @@ class TestHashes:
 
     @pytest.mark.parametrize("prefix_len", [0, 120, 136, 137, 248, 376, 408])
     def test_header_after_digests_matches_reference(self, prefix_len):
-        # a prefix of 0, 1, 2 or 3 whole blocks, and 0-7 preimages of one
-        # padded length (1 or 2 blocks) or of mixed ones, lone ones included
+        # a prefix of 0, 1, 2 or 3 whole blocks that holds the carried
+        # header's digest, after a carried header of 1-4 blocks (part of it
+        # absorbed in an earlier tx run) or none, in turn; and 0-7
+        # preimages of one padded length (1 or 2 blocks) or of mixed ones,
+        # lone ones included
         rng = random.Random(prefix_len)
-        prefix = rng.randbytes(prefix_len)
         mixed = [0, 135, 136, 200, 271, 272, 500]
         for n in range(8):
-            for sizes in ([56] * n, [200] * n, mixed[:n], mixed[n - 1::-1]):
+            for k, sizes in enumerate(([56] * n, [200] * n, mixed[:n],
+                                       mixed[n - 1::-1])):
+                carried = (None, 56, 300, 500)[(n + k) % 4]
+                previous = rng.randbytes(carried or 0)
                 datas = [rng.randbytes(size) for size in sizes]
-                digests, header = keccak256_after(prefix, datas)
+                fill = rng.randbytes(prefix_len)
                 expected = [keccak256_ref(d) for d in datas]
-                assert digests == expected, (n, sizes)
+                results = []
+                for hash_fn in (keccak256_header, partial(
+                        hash_header, "keccak256")):
+                    carry = None
+                    if carried is not None:
+                        carry = Sponge(previous)
+                        keccak256_many([fill[:200]], carry=carry)
+
+                    def prefix():
+                        parent = carry() if carry else bytes(32)
+                        return (parent + fill)[:prefix_len]
+
+                    digests, header = hash_fn(carry, prefix, datas)
+                    results.append((digests, carry and carry(),
+                                    prefix(), header()))
+                assert results[0] == results[1]
+                digests, parent, full, header = results[0]
+                assert digests == expected, (n, sizes, carried)
+                if carried is not None:
+                    assert parent == keccak256_ref(previous)
                 assert header == keccak256_ref(
-                    prefix + b"".join(expected)), (n, sizes)
-                assert hash_after("keccak256", prefix, datas) == (
-                    digests, header)
+                    full + b"".join(expected)), (n, sizes, carried)
 
     def test_header_after_digests_blake2b(self):
         datas = [b"a" * 200, b"b" * 56]
-        digests, header = hash_after("blake2b256", b"p" * 152, datas)
+        digests, header = hash_header("blake2b256", None, lambda: b"p" * 152,
+                                      datas)
         assert digests == [blake2b256(d) for d in datas]
+        # no runs to ride: the header is hashed at once
         assert header == blake2b256(b"p" * 152 + b"".join(digests))
+        assert hash_many("blake2b256", datas, carry=Sponge(b"x")) == digests
 
     def test_blake2b_is_stdlib(self):
         data = b"cross-check"
@@ -295,10 +322,13 @@ class TestFirstBlockMemo:
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 600)),
                     max_size=10),
            st.lists(st.integers(0, 2), max_size=3),
-           st.integers(0, 700), st.integers(1, 4))
-    @example([(0, 200), (1, 200), (3, 56), (0, 500), (3, 600)], [0], 300, 4)
+           st.integers(0, 700), st.integers(1, 4), st.integers(-1, 700))
+    @example([(0, 200), (1, 200), (3, 56), (0, 500), (3, 600)], [0], 300, 4,
+             200)
+    @example([(3, 300)], [], 300, 1, 500)
     @settings(max_examples=150, deadline=None)
-    def test_one_packed_run_per_batch(self, shapes, warm, prefix_len, bound):
+    def test_one_packed_run_per_batch(self, shapes, warm, prefix_len, bound,
+                                      carried):
         # heads 0-2 give a shared first block to a message of 136 bytes or
         # more (warm if listed in ``warm``, else cold; repeated when drawn
         # twice); heads 3 and 4 give a random one
@@ -307,6 +337,7 @@ class TestFirstBlockMemo:
                  + rng.randbytes(n - _RATE if h < 3 and n >= _RATE else n)
                  for h, n in shapes]
         prefix = rng.randbytes(prefix_len)
+        previous = rng.randbytes(max(carried, 0))  # -1: nothing carried
         expected = [keccak256_ref(d) for d in datas]
 
         def memo_after(keys, batch):
@@ -331,15 +362,24 @@ class TestFirstBlockMemo:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(keccak, "_permute", counted)
             mp.setattr(keccak, "FIRST_BLOCK_MEMO_SIZE", bound)
-            # no memo: the header's whole blocks ride in the run, and the
-            # rest of the header costs one W = 1 permutation a block
-            digests, header = keccak256_after(prefix, datas)
+            # no memo: the header slot takes the carried header's blocks
+            # (their rest costs one W = 1 permutation a block when read,
+            # here by ``carry()``, in a chain by the prefix), then the
+            # prefix's whole blocks in the permutations left; the new
+            # header's rest costs one W = 1 permutation a block when read
+            carry = Sponge(previous) if carried >= 0 else None
+            digests, header = keccak256_header(carry, lambda: prefix, datas)
             assert digests == expected
-            assert header == keccak256_ref(prefix + b"".join(expected))
             run = max(map(blocks, datas), default=0)
-            rest = (prefix_len + 32 * len(datas)) // _RATE + 1 - min(
-                prefix_len // _RATE, run)
-            assert count[0] == run + rest
+            assert count[0] == run
+            left = carried // _RATE + 1 if carry else 0
+            if carry:
+                assert carry() == keccak256_ref(previous)
+                assert count[0] == max(run, left)
+            count[0] = 0
+            assert header() == keccak256_ref(prefix + b"".join(expected))
+            rode = min(prefix_len // _RATE, run - left) if left <= run else 0
+            assert count[0] == (prefix_len + 32 * len(datas)) // _RATE + 1 - rode
             # through a memo warmed with some heads
             memo = OrderedDict()
             warmup = [self.HEADS[h] + b"warm" for h in warm]

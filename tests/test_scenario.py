@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import random
 from collections import Counter
 from dataclasses import replace
 from importlib.resources import as_file
@@ -21,6 +22,8 @@ from bridgesim.adapter import encode_request_transfer
 from bridgesim.bridge import TransferJob
 from bridgesim.cli import main as cli_main
 from bridgesim.codec import TransferMessage
+from bridgesim import keccak
+from bridgesim.keccak import Sponge
 from bridgesim.scenario import (
     ACTIONS,
     CORRUPTION,
@@ -168,31 +171,38 @@ class TestOperatorPause:
 class TestWork:
     def test_source_transactions_hashed_once(self, monkeypatch):
         digests = Counter()
-        keccak = codec.HASH_ALGS["keccak256"]
+        keccak_one = codec.HASH_ALGS["keccak256"]
 
         def counted(data):
-            digest = keccak(data)
+            digest = keccak_one(data)
             digests[digest] += 1
             return digest
 
         keccak_many = codec.keccak256_many
 
-        def counted_many(datas, memo=None):
-            out = keccak_many(datas, memo)
+        def counted_many(datas, memo=None, carry=None):
+            out = keccak_many(datas, memo, carry)
             digests.update(out)
             return out
 
-        keccak_after = codec.keccak256_after
+        keccak_header = codec.keccak256_header
 
-        def counted_after(prefix, datas):
-            out, header = keccak_after(prefix, datas)
+        def counted_header(carry, prefix, datas):
+            out, header = keccak_header(carry, prefix, datas)
             digests.update(out)
-            digests[header] += 1
             return out, header
+
+        headers = Counter()  # block hashes, counted where a header finishes
+        finish = Sponge._finish
+
+        def counted_finish(sponge, digest):
+            headers[digest] += 1
+            finish(sponge, digest)
 
         monkeypatch.setitem(codec.HASH_ALGS, "keccak256", counted)
         monkeypatch.setattr(codec, "keccak256_many", counted_many)
-        monkeypatch.setattr(codec, "keccak256_after", counted_after)
+        monkeypatch.setattr(codec, "keccak256_header", counted_header)
+        monkeypatch.setattr(Sponge, "_finish", counted_finish)
         codec.selector.cache_clear()
         workload = [
             {"tick": 1 + i // 5, "action": "request_transfer",
@@ -206,8 +216,41 @@ class TestWork:
         assert len(txs) == 50
         assert all(digests[tx.tx_hash] == 1 for tx in txs)
         # keccak source, blake2b dest: per transfer one tx hash and one
-        # event digest, plus one hash per source block (genesis included)
-        assert sum(digests.values()) == 2 * 50 + len(world.source.all_blocks)
+        # event digest, each computed once
+        assert sum(digests.values()) == 2 * 50 and set(digests.values()) == {1}
+        # every source block below the head is hashed once; the head, whose
+        # header would finish in its chain's next runs, at most once
+        blocks = world.source.all_blocks
+        assert len(blocks) - 1 <= sum(headers.values()) <= len(blocks)
+        assert all(headers[b.block_hash] == 1 for b in blocks)
+
+    def test_keccak_f_calls_of_a_happy_world(self, monkeypatch):
+        # 50 transfers from 4 senders, 5 a tick, at seed 7 (happy_stream's
+        # traffic, scaled down). Each loaded source block's header rides in
+        # the next tick's tx run and sealing run: 20 Keccak-f calls fewer,
+        # all of them at W = 1, than sealing each header in its own tick
+        # (171 in all, 140 at W = 1)
+        widths = Counter()
+        permute = keccak._permute
+
+        def counted(s, mask=keccak._M, rcs=keccak._ROUND_CONSTANTS):
+            widths["W = 1" if mask == keccak._M else "packed"] += 1
+            return permute(s, mask, rcs)
+
+        monkeypatch.setattr(keccak, "_permute", counted)
+        codec.selector.cache_clear()
+        rng = random.Random(7)
+        workload = [
+            {"tick": 1 + i // 5, "action": "request_transfer",
+             "sender": rng.choice(("alice", "bob", "carol", "dave")),
+             "call": {"signature": "setValue(uint128)",
+                      "args": [rng.getrandbits(96) + 1]}}
+            for i in range(50)
+        ]
+        world = World(ScenarioConfig(seed=7, workload=workload,
+                                     max_ticks=600))
+        assert len(world.run().delivered) == 50
+        assert widths == {"W = 1": 120, "packed": 31}
 
     def test_happy_run_verifies_every_signature_from_the_memo(
             self, full_verifies):
