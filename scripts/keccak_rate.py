@@ -28,6 +28,11 @@ calls that batch costs (``permutations``: one packed run as long as its
 longest message, 3) and the microseconds per message of `keccak256_many`
 (``message_us``).
 
+Last, the Keccak-f calls of one batch of each benchmark workload at seed 7
+(the inputs `perfbench/workloads.py` generates, each World set up and run
+from a cold selector cache, as perfbench runs a batch), in all and by
+packing width W: an exact count, where the times above are noisy.
+
 Each figure is the median over the repetitions; every repetition times all
 widths, in reverse order on odd repetitions, so a drift in the host's speed
 spreads over the widths instead of landing on one. It is a measurement, not
@@ -43,6 +48,7 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WIDTHS = (1, 2, 5, 16)
@@ -50,6 +56,7 @@ SHORT, LONG = 56, 200  # message bytes: one block, two blocks
 TX, TX_W, TX_HEADS = 196, 5, 4  # tx-shaped messages: bytes, batch, first blocks
 MIXED = (56, 56, 200, 200, 300)  # message bytes: 1, 1, 2, 2 and 3 blocks
 CALLS = 50  # timed per repetition and width
+SEED = 7  # the seed of perfbench's claimed runs
 COLUMNS = ("permute_us", "per_state_us", "message_us", "message200_us",
            "header_us", "plain_us")
 
@@ -62,16 +69,36 @@ def per_call(fn, number: int) -> float:
     return (time.perf_counter() - t0) / number * 1e6
 
 
+def batch_permutations(bs, workload, seed: int) -> Counter:
+    """Keccak-f calls by packing width W in one batch of ``workload``."""
+    keccak, permute, widths = bs.keccak, bs.keccak._permute, Counter()
+
+    def counted(s, mask=keccak._M, rcs=keccak._ROUND_CONSTANTS):
+        widths[(mask.bit_length() + 64) // 128] += 1  # 128 W - 64 bits
+        return permute(s, mask, rcs)
+
+    bs.codec.selector.cache_clear()
+    keccak._permute = counted
+    try:
+        for item in workload.items(bs, seed):
+            bs.scenario.World(item.config).run()
+    finally:
+        keccak._permute = permute
+    return widths
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=11)
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be positive")
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from collections import OrderedDict
 
+    import bridgesim as bs
     from bridgesim import keccak
+    from perfbench import workloads
 
     def carried(header, txs, events):
         sponge = keccak.Sponge(header)
@@ -163,6 +190,11 @@ def main(argv=None) -> int:
         f" {c} {statistics.median(v):.1f}" for c, v in tx_times.items()))
     print(f"mixed lengths {MIXED} bytes at W = {len(MIXED)}: permutations "
           f"{len(calls)} message_us {statistics.median(mixed_times):.1f}")
+    print(f"\nKeccak-f calls in one batch at seed {SEED}:")
+    for name, workload in workloads.WORKLOADS.items():
+        widths = batch_permutations(bs, workload, SEED)
+        print(f"{name:>13} {sum(widths.values()):>6}" + "".join(
+            f"  W = {w}: {n}" for w, n in sorted(widths.items())))
     return 0
 
 

@@ -5,9 +5,9 @@ registered contract handlers and their state, and account balances. Every
 block ever produced (including orphaned branches) is kept in `all_blocks`, in
 the order made, which only the harness oracle reads; protocol actors see
 canonical data only, found by block number. A block's hash is computed when
-first needed (`Block.block_hash`); until then a keccak block's header rides
-in its chain's next packed runs (`keccak.Sponge`), so a chain holds at most
-one unfinished header: the last block made's.
+first needed (`Block.block_hash`); until then a keccak block's header is one
+`keccak.Sponge`, carried whole into its chain's next packed runs, so a chain
+holds at most one unfinished header: the last block made's.
 
 State is rolled back by one undo log: every write to `balances`,
 `executed_seq` or a registered contract's `state` (nested maps included)
@@ -261,7 +261,7 @@ class Chain:
         genesis = Block(
             number=0,
             # number, parent hash, tick and salt, all zero; no tx or event
-            header=hash_header(config.hash_alg, None, lambda: bytes(56), [])[1],
+            header=hash_header(config.hash_alg, bytes(56)),
             parent_hash=ZERO32,
             tick=0,
             transactions=(),
@@ -372,20 +372,18 @@ class Chain:
                     events.append(EventLog(emitter, name, attrs,
                                            tx.tx_hash, number))
         self._produced += 1
-        salt, last = self._produced, self.all_blocks[-1]
-
-        def prefix() -> bytes:  # the header up to its event hashes
-            return b"".join([number.to_bytes(8, "big"), parent.block_hash,
-                             tick.to_bytes(8, "big"), salt.to_bytes(8, "big"),
-                             *[t.tx_hash for t in included]])
-
-        # the last block's header, if unfinished, rides first in the events'
-        # run; prefix() reads the parent's hash and the line below an
-        # orphaned head's, so only the new block's header may stay unfinished
-        header = hash_header(self.config.hash_alg, last.header, prefix,
-                             [_event_preimage(e) for e in events])[1]
+        alg, last = self.config.hash_alg, self.all_blocks[-1]
+        # the last block's header, if unfinished, rides in the events' run;
+        # the parent's hash below and an orphaned head's finish the rest, so
+        # only the new block's header may stay unfinished
+        digests = hash_many(alg, [_event_preimage(e) for e in events],
+                            carry=last.header)
         if last is not parent:
             last.block_hash
+        header = hash_header(alg, b"".join([
+            number.to_bytes(8, "big"), parent.block_hash,
+            tick.to_bytes(8, "big"), self._produced.to_bytes(8, "big"),
+            *[t.tx_hash for t in included], *digests]))
         return Block(
             number=number,
             header=header,
@@ -394,7 +392,7 @@ class Chain:
             transactions=tuple(included),
             events=tuple(events),
             receipts=tuple(receipts),
-            salt=salt,
+            salt=self._produced,
         )
 
     def _append(self, block: Block) -> None:

@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .keccak import keccak256, keccak256_header, keccak256_many
+from .keccak import Sponge, keccak256, keccak256_many
 
 WORD = 32
 SIGNATURE_LEN = 64
@@ -74,20 +74,13 @@ def hash_many(alg: str, datas: list[bytes], memo=None,
     return [hash_bytes(alg, data) for data in datas]
 
 
-def hash_header(alg: str, carry, prefix,
-                datas: list[bytes]) -> tuple[list[bytes], object]:
-    """``(digests, header)``: ``digests`` is `hash_many` of ``datas``, and
-    ``header`` the `hash_bytes` of ``prefix()`` followed by those digests,
-    or a callable that returns it. Keccak first absorbs the blocks the
-    header ``carry`` lacks, if it is unfinished, in the run that hashes
-    ``datas``, then the prefix's whole blocks, and returns
-    the header as a `Sponge` whose rest rides in the next runs that carry
-    it (`keccak256_header`). Other algorithms have no runs to ride: the
-    header is one hash call, made here."""
+def hash_header(alg: str, data: bytes):
+    """The block hash of header bytes ``data``. Keccak returns it as a
+    `Sponge` that rides as ``carry`` in the chain's next `hash_many` runs
+    and finishes when called; other algorithms hash it at once."""
     if alg == "keccak256":
-        return keccak256_header(carry, prefix, datas)
-    digests = hash_many(alg, datas)
-    return digests, hash_bytes(alg, prefix() + b"".join(digests))
+        return Sponge(data)
+    return hash_bytes(alg, data)
 
 
 def parse_signature(signature: str) -> tuple[str, list[str]]:

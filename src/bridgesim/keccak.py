@@ -49,21 +49,19 @@ the scalar round. A packed lane is absorbed as one ``struct`` pack of its W
 lanes, each followed by 8 zero bytes (``"<" + "Q8x" * W``), and a digest
 lane is read back with the same format.
 
-A batch is hashed in one packed run (`_hash_batch`), by one rule: every
+A batch is hashed in one packed run (`keccak256_many`), by one rule: every
 message takes a slot, every slot absorbs one block per permutation, and a
 message's digest is read after its last block; a slot whose message has
 ended absorbs zero blocks until the run ends. A batch costs as many
 permutations as its longest message has blocks left to absorb.
 
-A block header is pipelined into its chain's next runs (the stage overlap
-of software pipelining, Lam, PLDI 1988) as a `Sponge`, a message absorbed
-over several runs. A run's header slot absorbs one block per permutation:
-first the blocks the chain's unfinished header (``carry``) lacks, its
-digest read after its last; then, in a sealing run (`keccak256_header`),
-the new header's whole prefix blocks, which hold that digest as the parent
-hash. The rest waits for the next tx batch (`keccak256_many`) and seal. A
-hash read before then absorbs what is left at W = 1, so a slot saves about
-one W = 1 permutation per block that rides.
+A block header is one `Sponge`, a message absorbed over several runs. It
+is carried whole into its chain's next runs, the next tx batch's and the
+next seal's events run (the stage overlap of software pipelining, Lam, PLDI
+1988): each run's header slot absorbs the blocks the header (``carry``)
+still lacks, one per permutation, and reads its digest after its last. A
+hash read before then absorbs what is left at W = 1, so the slot saves
+about one W = 1 permutation per block that rides.
 
 `keccak256_many` takes an optional memo from its caller that maps a
 message's first 136-byte block to the 25 lanes after one Keccak-f
@@ -79,8 +77,7 @@ recipient, payload length and the call's head come first, so a sender's
 request txs repeat their first block, and the varying argument, value and
 seq fall in the second. Event preimages and block headers hash without
 it: a request event's first block holds its ``transferId`` and a header's
-its block number, so they never repeat, and a header's blocks ride in
-the header slot.
+its block number, so they never repeat.
 """
 
 import struct
@@ -234,9 +231,9 @@ class Sponge:
 
     __slots__ = ("padded", "offset", "state", "digest")
 
-    def __init__(self, data: bytes, state=None, offset: int = 0):
-        self.padded, self.offset, self.state = _pad(data), offset, state
-        self.digest = None
+    def __init__(self, data: bytes):
+        self.padded, self.offset = _pad(data), 0
+        self.state = self.digest = None
 
     def __call__(self) -> bytes:
         if self.digest is None:
@@ -248,24 +245,20 @@ class Sponge:
         self.digest, self.padded, self.state = digest, None, None
 
 
-def _hash_batch(datas, memo=None, carry=None, prefix=None):
-    """Hash ``datas`` in one packed run: each message takes a slot, every
-    slot absorbs one block per permutation, and a message's digest is read
-    after its last block.
+def keccak256_many(datas, memo=None, carry=None) -> list[bytes]:
+    """Keccak-256 digest of each of ``datas``, in order, hashed in one packed
+    run: each message takes a slot, every slot absorbs one block per
+    permutation, and a message's digest is read after its last block.
 
-    With a ``memo`` (see `keccak256_many`), a message of one block or more
-    starts from its first block's state if the memo holds it; otherwise it
-    starts from zero and its state after the first permutation is stored,
-    and past ``FIRST_BLOCK_MEMO_SIZE`` entries the one stored first is
-    dropped.
+    ``memo``, an `OrderedDict` its caller keeps, maps a message's first
+    block to the sponge state after it: a message of one block or more
+    starts from that state if the memo holds it; otherwise it starts from
+    zero and its state after the first permutation is stored, and past
+    ``FIRST_BLOCK_MEMO_SIZE`` entries the one stored first is dropped.
 
-    One more slot, the header slot, absorbs the blocks ``carry`` lacks, if
-    it is an unfinished `Sponge` (a finished hash carries nothing), as many
-    as the run has, and reads its digest after its last. Then ``prefix()``,
-    the start of a new header (called after that block or after the run),
-    gives its whole blocks to the cleared slot in the permutations left.
-    Returns the digests and, with a ``prefix``, a `Sponge` of the prefix
-    followed by them (else None)."""
+    One more slot, the header slot, absorbs the blocks an unfinished
+    `Sponge` ``carry`` lacks (a finished one carries nothing), as many as
+    the run has permutations, and reads its digest after its last."""
     padded = [_pad(data) for data in datas]
     starts = [None] * len(datas)
     misses = {}  # a first block the memo lacks -> the slot that stores it
@@ -281,23 +274,17 @@ def _hash_batch(datas, memo=None, carry=None, prefix=None):
     ends = [len(p) // _RATE for p in padded]  # blocks each message absorbs
     run = max(ends, default=0)
     left = 0  # the blocks carry lacks
-    if type(carry) is Sponge and carry.digest is None:
+    if type(carry) is Sponge and carry.digest is None and run:
         left = (len(carry.padded) - carry.offset) // _RATE
-    pre = prefix() if prefix is not None and not left else None
-    rode = min(len(pre) // _RATE, run) if pre is not None else 0
-    if left and run:  # the header slot: carry's blocks first
         padded.append(carry.padded[carry.offset:carry.offset + run * _RATE])
         starts.append(carry.state)
-    elif rode:  # the header slot: the prefix's whole blocks
-        padded.append(pre[:rode * _RATE])
-        starts.append(None)
     w = len(padded)
     slots, top = _slots(w), 128 * (w - 1)  # the header slot's lowest bit
     padded = [p.ljust(run * _RATE, b"\0") for p in padded]
     s = ([int.from_bytes(slots.pack(*lanes), "little")
           for lanes in zip(*[st or _ZERO_STATE for st in starts])]
          if any(starts) else [0] * 25)
-    out, head = [b""] * len(datas), None
+    out = [b""] * len(datas)
     for n, off in enumerate(range(0, run * _RATE, _RATE), 1):
         s[:17] = [a ^ int.from_bytes(slots.pack(*lanes), "little")
                   for a, lanes in zip(s, zip(*[_unpack_block(p, off)
@@ -310,48 +297,15 @@ def _hash_batch(datas, memo=None, carry=None, prefix=None):
                 memo[first] = states[i]
                 if len(memo) > FIRST_BLOCK_MEMO_SIZE:
                     memo.popitem(last=False)
-        if n == left:  # carry's last block: read its digest, clear the slot
+        if n == left:  # carry's last block: read its digest
             carry._finish(_pack_digest(*[x >> top for x in s[:4]]))
-            low = (1 << top) - 1
-            s[:] = [x & low for x in s]
-            if prefix is not None:
-                pre = prefix()
-                rode = min(len(pre) // _RATE, run - n)
-                padded[-1] = (padded[-1][:n * _RATE] + pre[:rode * _RATE]
-                              ).ljust(run * _RATE, b"\0")
         elif n == run and left > run:  # carry goes on in a later run
             carry.state = tuple(x >> top for x in s)
             carry.offset += run * _RATE
-        if rode and n == left + rode:  # the new header's last whole block
-            head = tuple(x >> top for x in s)
         done = [i for i, blocks in enumerate(ends) if blocks == n]
         if done:
             digests = list(zip(*[slots.unpack(x.to_bytes(slots.size, "little"))
                                  for x in s[:4]]))
             for i in done:
                 out[i] = _pack_digest(*digests[i])
-    if prefix is None:
-        return out, None
-    if pre is None:  # carry outlasted the run
-        pre = prefix()
-    return out, Sponge(pre + b"".join(out), head, rode * _RATE)
-
-
-def keccak256_many(datas, memo=None, carry=None) -> list[bytes]:
-    """Keccak-256 digest of each of ``datas``, in order. ``memo``, an
-    `OrderedDict` its caller keeps, maps a message's first block to the
-    sponge state after it, so a batch whose messages repeat an earlier
-    first block skips that block's permutation. The blocks an unfinished
-    `Sponge` ``carry`` lacks ride in the run, as many as it has
-    permutations."""
-    return _hash_batch(datas, memo, carry)[0]
-
-
-def keccak256_header(carry, prefix, datas) -> tuple[list[bytes], Sponge]:
-    """``(digests, header)``: ``digests`` is `keccak256_many` of ``datas``
-    and ``header`` a `Sponge` of ``prefix()`` followed by those digests.
-    The run's header slot first absorbs the blocks an unfinished `Sponge`
-    ``carry`` lacks, then the prefix's whole blocks. ``prefix`` is called after
-    ``carry``'s last block, or after the run if that falls beyond it, so it
-    may read ``carry()``."""
-    return _hash_batch(datas, carry=carry, prefix=prefix)
+    return out

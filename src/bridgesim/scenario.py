@@ -64,6 +64,7 @@ from .signatory import BEHAVIOR_MODES, Signatory
 ATTACKERS = 4  # attacker keypairs a scenario can sign with
 RELAY_TX = re.compile("relay:[0-9]+")  # the relay's processTransfer tx of an id
 U16, U64, U128, U256 = (range(1 << n) for n in (16, 64, 128, 256))
+_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON lets them in; UTF-8 cannot
 CHAIN = ("source", "dest")
 _REQUIRED: dict[int, set] = {}  # memo: id of a dict spec -> its required keys
 
@@ -98,6 +99,8 @@ def _name(spec) -> str:
 def _error(spec, v, cfg) -> str | None:
     """None if ``v`` fits ``spec``, else what is wrong, worded to follow the
     path to ``v``: " must be ...", ".gas must be ...", "[2] must be ..."."""
+    if type(v) is str and _SURROGATE.search(v):
+        return f" must be a string UTF-8 can encode, not {_brief(v)}"
     t = type(spec)
     if t is FunctionType:
         return spec(v, cfg)
@@ -115,8 +118,9 @@ def _error(spec, v, cfg) -> str | None:
                 return (f" has unknown key {_brief(key)} "
                         f"(known: {', '.join(spec)})")
             s = entry[0]
-            if type(x) is s or type(s) is range and type(x) is int and x in s:
-                continue  # the common cases, checked without a call
+            if (type(x) is s is not str
+                    or type(s) is range and type(x) is int and x in s):
+                continue  # common non-string cases, checked without a call
             if err := _error(s, x, cfg):
                 return f".{key}{err}"
         if (required := _REQUIRED.get(id(spec))) is None:
@@ -176,7 +180,7 @@ def _network_id(v, cfg):
 def _config_change(v, cfg):
     """[chain role, field], e.g. ["dest", "relayer"]"""
     if not (type(v) is list and len(v) == 2 and v[0] in CHAIN
-            and type(v[1]) is str):
+            and not _error(str, v[1], cfg)):
         return f" must be {_config_change.__doc__}, not {_brief(v)}"
 
 
@@ -205,8 +209,9 @@ def _call(v, cfg):
 
 
 def _dropped(v, cfg):
-    """a request_transfer label, or "relay:<id>" (the relay's tx for id)"""
-    if type(v) is not str:
+    """a request_transfer label, or "relay:<id>" (the relay's tx for id < 2**64)"""
+    if type(v) is not str or RELAY_TX.fullmatch(v) and (
+            len(v) > 26 or int(v[6:]) not in U64):  # 26: "relay:" + 20 digits
         return f" must be {_dropped.__doc__}, not {_brief(v)}"
 
 

@@ -4,7 +4,6 @@ import hashlib
 import pathlib
 import random
 from collections import OrderedDict
-from functools import partial
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -42,7 +41,6 @@ from bridgesim.keccak import (
     _permute,
     _width,
     Sponge,
-    keccak256_header,
     keccak256_many,
 )
 
@@ -166,54 +164,44 @@ class TestHashes:
         # ragged batches: messages of mixed padded lengths in one run
         assert keccak256_many(datas) == [keccak256(d) for d in datas]
 
-    @pytest.mark.parametrize("prefix_len", [0, 120, 136, 137, 248, 376, 408])
-    def test_header_after_digests_matches_reference(self, prefix_len):
-        # a prefix of 0, 1, 2 or 3 whole blocks that holds the carried
-        # header's digest, after a carried header of 1-4 blocks (part of it
-        # absorbed in an earlier tx run) or none, in turn; and 0-7
-        # preimages of one padded length (1 or 2 blocks) or of mixed ones,
-        # lone ones included
-        rng = random.Random(prefix_len)
-        mixed = [0, 135, 136, 200, 271, 272, 500]
-        for n in range(8):
-            for k, sizes in enumerate(([56] * n, [200] * n, mixed[:n],
-                                       mixed[n - 1::-1])):
-                carried = (None, 56, 300, 500)[(n + k) % 4]
-                previous = rng.randbytes(carried or 0)
-                datas = [rng.randbytes(size) for size in sizes]
-                fill = rng.randbytes(prefix_len)
-                expected = [keccak256_ref(d) for d in datas]
-                results = []
-                for hash_fn in (keccak256_header, partial(
-                        hash_header, "keccak256")):
-                    carry = None
-                    if carried is not None:
-                        carry = Sponge(previous)
-                        keccak256_many([fill[:200]], carry=carry)
-
-                    def prefix():
-                        parent = carry() if carry else bytes(32)
-                        return (parent + fill)[:prefix_len]
-
-                    digests, header = hash_fn(carry, prefix, datas)
-                    results.append((digests, carry and carry(),
-                                    prefix(), header()))
-                assert results[0] == results[1]
-                digests, parent, full, header = results[0]
-                assert digests == expected, (n, sizes, carried)
-                if carried is not None:
-                    assert parent == keccak256_ref(previous)
-                assert header == keccak256_ref(
-                    full + b"".join(expected)), (n, sizes, carried)
+    @pytest.mark.parametrize("size", [0, 120, 136, 137, 248, 376, 408])
+    def test_header_after_digests_matches_reference(self, size):
+        # a keccak header of 1-4 blocks carried through zero, one or two
+        # runs of 1-3 permutations, each absorbing as many of its blocks as
+        # it has permutations, then read
+        rng = random.Random(size)
+        header = rng.randbytes(size)
+        blocks = size // _RATE + 1
+        for runs in ([], [[56]], [[200]], [[300, 56]], [[56], [200]],
+                     [[200, 56], [300]], [[300], [300]]):
+            sponge = hash_header("keccak256", header)
+            assert type(sponge) is Sponge
+            absorbed = 0
+            for sizes in runs:
+                datas = [rng.randbytes(n) for n in sizes]
+                assert keccak256_many(datas, carry=sponge) == [
+                    keccak256_ref(d) for d in datas]
+                absorbed = min(blocks, absorbed + max(
+                    n // _RATE + 1 for n in sizes))
+                if absorbed < blocks:
+                    assert sponge.digest is None
+                    assert sponge.offset == absorbed * _RATE
+                else:
+                    assert sponge.digest == keccak256_ref(header)
+            assert sponge() == keccak256_ref(header), (size, runs)
+            # a finished header carries nothing into a later run
+            assert keccak256_many([b"x"], carry=sponge) == [
+                keccak256_ref(b"x")]
 
     def test_header_after_digests_blake2b(self):
         datas = [b"a" * 200, b"b" * 56]
-        digests, header = hash_header("blake2b256", None, lambda: b"p" * 152,
-                                      datas)
-        assert digests == [blake2b256(d) for d in datas]
         # no runs to ride: the header is hashed at once
-        assert header == blake2b256(b"p" * 152 + b"".join(digests))
-        assert hash_many("blake2b256", datas, carry=Sponge(b"x")) == digests
+        header = hash_header("blake2b256", b"p" * 152)
+        assert header == blake2b256(b"p" * 152)
+        assert hash_many("blake2b256", datas, carry=header) == [
+            blake2b256(d) for d in datas]
+        assert hash_many("blake2b256", datas, carry=Sponge(b"x")) == [
+            blake2b256(d) for d in datas]
 
     def test_blake2b_is_stdlib(self):
         data = b"cross-check"
@@ -322,21 +310,18 @@ class TestFirstBlockMemo:
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 600)),
                     max_size=10),
            st.lists(st.integers(0, 2), max_size=3),
-           st.integers(0, 700), st.integers(1, 4), st.integers(-1, 700))
-    @example([(0, 200), (1, 200), (3, 56), (0, 500), (3, 600)], [0], 300, 4,
-             200)
-    @example([(3, 300)], [], 300, 1, 500)
+           st.integers(1, 4), st.integers(-1, 700))
+    @example([(0, 200), (1, 200), (3, 56), (0, 500), (3, 600)], [0], 4, 200)
+    @example([(3, 300)], [], 1, 500)
     @settings(max_examples=150, deadline=None)
-    def test_one_packed_run_per_batch(self, shapes, warm, prefix_len, bound,
-                                      carried):
+    def test_one_packed_run_per_batch(self, shapes, warm, bound, carried):
         # heads 0-2 give a shared first block to a message of 136 bytes or
         # more (warm if listed in ``warm``, else cold; repeated when drawn
         # twice); heads 3 and 4 give a random one
-        rng = random.Random(len(shapes) * 701 + prefix_len)
+        rng = random.Random(len(shapes) * 701)
         datas = [(self.HEADS[h] if h < 3 and n >= _RATE else b"")
                  + rng.randbytes(n - _RATE if h < 3 and n >= _RATE else n)
                  for h, n in shapes]
-        prefix = rng.randbytes(prefix_len)
         previous = rng.randbytes(max(carried, 0))  # -1: nothing carried
         expected = [keccak256_ref(d) for d in datas]
 
@@ -362,24 +347,16 @@ class TestFirstBlockMemo:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(keccak, "_permute", counted)
             mp.setattr(keccak, "FIRST_BLOCK_MEMO_SIZE", bound)
-            # no memo: the header slot takes the carried header's blocks
-            # (their rest costs one W = 1 permutation a block when read,
-            # here by ``carry()``, in a chain by the prefix), then the
-            # prefix's whole blocks in the permutations left; the new
-            # header's rest costs one W = 1 permutation a block when read
+            # no memo: the header slot takes one block of the carried
+            # header per permutation; its rest costs one W = 1 permutation
+            # a block when read
             carry = Sponge(previous) if carried >= 0 else None
-            digests, header = keccak256_header(carry, lambda: prefix, datas)
-            assert digests == expected
+            assert keccak256_many(datas, carry=carry) == expected
             run = max(map(blocks, datas), default=0)
             assert count[0] == run
-            left = carried // _RATE + 1 if carry else 0
             if carry:
                 assert carry() == keccak256_ref(previous)
-                assert count[0] == max(run, left)
-            count[0] = 0
-            assert header() == keccak256_ref(prefix + b"".join(expected))
-            rode = min(prefix_len // _RATE, run - left) if left <= run else 0
-            assert count[0] == (prefix_len + 32 * len(datas)) // _RATE + 1 - rode
+                assert count[0] == max(run, carried // _RATE + 1)
             # through a memo warmed with some heads
             memo = OrderedDict()
             warmup = [self.HEADS[h] + b"warm" for h in warm]
