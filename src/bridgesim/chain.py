@@ -498,12 +498,15 @@ class ChainView:
 
     Actors are handed views rather than the chain itself; a corrupted view
     models a compromised chain connection for one actor without touching
-    the underlying ledger. Once the chain has sealed block
+    the underlying ledger. A view runs the chain's own reads, `Chain`'s
+    methods bound to the view when it is built, over the blocks it shows:
+    an honest view's ``blocks`` and ``tx_index`` are the chain's, a
+    corrupted view's are `_Shown`. Once the chain has sealed block
     ``corruption.block_number``, every read shows one forged block
-    (`_forged`) in its place, hiding the real block N, its hash and its
-    events; tx reads look in the forged block first. The view makes one
-    forged block per real block N, so reads see the same object until a
-    reorg replaces block N. An honest view's reads are the chain's own.
+    (`_forged`) in its place, hiding the real block N, its hash, its events
+    and every tx of it that the forged block does not hold. The view makes
+    one forged block per real block N, so reads see the same object until a
+    reorg replaces block N.
     """
 
     def __init__(self, chain: Chain, corruption: ViewCorruption | None = None):
@@ -513,9 +516,14 @@ class ChainView:
         self.hash_alg = chain.config.hash_alg
         self._forgery: tuple[Block, Block] | None = None  # (real, forged)
         if corruption is None:
-            for read in ("head_number", "get_block", "get_transaction",
-                         "get_receipt", "get_events", "confirmations"):
-                setattr(self, read, getattr(chain, read))
+            self.blocks, self.tx_index = chain.blocks, chain.tx_index
+        else:
+            self.blocks = self.tx_index = _Shown(self)
+        # bound here, not on the class, so that a read wrapped on `Chain`
+        # before the view is built (a tracer's) is the one the view runs
+        for read in ("head_number", "get_block", "get_transaction",
+                     "get_receipt", "get_events", "confirmations"):
+            setattr(self, read, getattr(Chain, read).__get__(self))
 
     def _forged(self) -> Block | None:
         """The block shown at ``corruption.block_number`` (None: the chain
@@ -538,43 +546,25 @@ class ChainView:
         self._forgery = (real, forged)
         return forged
 
-    def head_number(self) -> int:
-        return self._chain.head_number()
 
-    def get_block(self, number: int) -> Block | None:
+class _Shown:
+    """A corrupted view's ``blocks`` and ``tx_index``: the chain's, with the
+    forged block at number N and only the forged block's txs indexed at N."""
+
+    def __init__(self, view: ChainView):
+        self._chain, self._forged = view._chain, view._forged
+
+    def __getitem__(self, number: int) -> Block:
         forged = self._forged()
         if forged is not None and number == forged.number:
             return forged
-        return self._chain.get_block(number)
+        return self._chain.blocks[number]
 
-    def get_transaction(self, tx_hash: bytes) -> tuple[Transaction, int] | None:
+    def get(self, tx_hash: bytes) -> int | None:
+        number = self._chain.tx_index.get(tx_hash)
         forged = self._forged()
-        for tx in forged.transactions if forged else ():
-            if tx.tx_hash == tx_hash:
-                return tx, forged.number
-        return self._chain.get_transaction(tx_hash)
-
-    def get_receipt(self, tx_hash: bytes) -> Receipt | None:
-        forged = self._forged()
-        for r in forged.receipts if forged else ():
-            if r.tx_hash == tx_hash:
-                return r
-        return self._chain.get_receipt(tx_hash)
-
-    def get_events(self, emitter, name, from_block, to_block) -> list[EventLog]:
-        out = self._chain.get_events(emitter, name, from_block, to_block)
-        forged = self._forged()
-        if forged is None or not from_block <= forged.number <= to_block:
-            return out
-        out = [ev for ev in out if ev.block_number != forged.number]
-        out += [ev for ev in forged.events
-                if (emitter is None or ev.emitter == emitter)
-                and (name is None or ev.name == name)]
-        return sorted(out, key=lambda ev: ev.block_number)
-
-    def confirmations(self, tx_hash: bytes) -> int | None:
-        forged = self._forged()
-        for tx in forged.transactions if forged else ():
-            if tx.tx_hash == tx_hash:
-                return self.head_number() - forged.number
-        return self._chain.confirmations(tx_hash)
+        if forged is None:
+            return number
+        if any(tx.tx_hash == tx_hash for tx in forged.transactions):
+            return forged.number
+        return None if number == forged.number else number

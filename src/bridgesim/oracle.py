@@ -43,9 +43,10 @@ def causality_oracle(source_chain: Chain, dest_chain: Chain,
         for ev in block.events:
             if ev.emitter != dest_adapter or ev.name != "Processed":
                 continue
-            m = _decode_processed_message(block, ev)
-            if m is None:
+            tx, _ = dest_chain.get_transaction(ev.tx_hash)
+            if tx.payload[:4] != TAG_PROCESS:
                 continue
+            m, _ = decode_process_transfer(tx.payload)
             reason = _classify(source_chain, source_adapter, m)
             if reason is not None:
                 violations.append(CausalityViolation(
@@ -55,14 +56,6 @@ def causality_oracle(source_chain: Chain, dest_chain: Chain,
                     reason=reason,
                 ))
     return violations
-
-
-def _decode_processed_message(block, ev: EventLog):
-    for tx in block.transactions:
-        if tx.tx_hash == ev.tx_hash and tx.payload[:4] == TAG_PROCESS:
-            m, _ = decode_process_transfer(tx.payload)
-            return m
-    return None
 
 
 def _classify(source_chain: Chain, source_adapter: bytes, m) -> str | None:

@@ -172,8 +172,8 @@ def _flood_count(v, cfg):
 
 
 def _network_id(v, cfg):
-    """a non-empty string"""
-    if type(v) is not str or not v:
+    """a non-empty string of at most 65535 UTF-8 bytes"""
+    if type(v) is not str or not v or len(v.encode()) > 65535:
         return f" must be {_network_id.__doc__}, not {_brief(v)}"
 
 
@@ -285,7 +285,7 @@ ACTIONS = Pick("action", {
     # at 2.3 MB (tracemalloc), where 10**8 would ask for about 23 GB
     "bridge_flood": _action(count=(_flood_count, ...)),
     "direct_process_transfer": _action(  # caller "relayer": the relay's key
-        **FORGED, attacker_signers=([range(ATTACKERS)], (0, 1)),
+        **FORGED, attacker_signers=([range(ATTACKERS), U16], (0, 1)),
         caller=(str, "attacker")),
 })
 CHAIN_CONFIG = {"network_id": (_network_id, ...), "block_time_ticks": (

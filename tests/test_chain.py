@@ -28,6 +28,7 @@ BOB = blake2b256(b"acct:bob")
 CAROL = blake2b256(b"acct:carol")
 STORE = blake2b256(b"contract:store")
 TOKEN = blake2b256(b"contract:token")
+ZERO = b"\x00" * 32
 
 
 def make_chain(alg="keccak256", finality=6) -> Chain:
@@ -664,3 +665,41 @@ class TestViews:
         assert view.get_events(STORE, None, 0, 5) == [fake_ev]
         assert view.get_transaction(fake_tx.tx_hash) == (fake_tx, 5)
         assert view.get_receipt(fake_tx.tx_hash).status == "ok"
+
+    def test_forged_block_n_shows_only_its_own_txs(self):
+        from bridgesim import ChainView, Transaction, ViewCorruption
+        chain = make_chain()
+        chain.mine_block(tick=1)
+        tx = set_value(chain, 7)
+        for t in range(2, 5):
+            chain.mine_block(tick=t)  # block 2 holds tx, the head is 4
+        receipt = chain.get_receipt(tx.tx_hash)
+        fake_tx = Transaction(tx_hash=blake2b256(b"fake"), sender=ALICE,
+                              recipient=STORE, payload=b"", value=0, seq=0)
+        fabricated = ChainView(chain, ViewCorruption(
+            block_number=2, fake_hash=blake2b256(b"fake-block"),
+            fake_transaction=fake_tx))
+        assert fabricated.get_transaction(tx.tx_hash) is None
+        assert fabricated.get_receipt(tx.tx_hash) is None
+        assert fabricated.confirmations(tx.tx_hash) is None
+        assert fabricated.get_transaction(fake_tx.tx_hash) == (fake_tx, 2)
+        substituted = ChainView(chain, ViewCorruption(
+            block_number=2, fake_hash=blake2b256(b"lie")))
+        assert substituted.get_transaction(tx.tx_hash) == (tx, 2)
+        assert substituted.get_receipt(tx.tx_hash) == receipt
+        assert substituted.confirmations(tx.tx_hash) == 2
+
+    @pytest.mark.parametrize("read, args", [
+        ("head_number", ()), ("get_block", (1,)),
+        ("get_transaction", (ZERO,)), ("get_receipt", (ZERO,)),
+        ("get_events", (None, None, 0, 1)), ("confirmations", (ZERO,))])
+    def test_views_run_the_chain_read_found_on_the_class(
+            self, monkeypatch, read, args):
+        from bridgesim import ChainView, ViewCorruption
+        chain = make_chain()
+        chain.mine_block(tick=1)
+        monkeypatch.setattr(Chain, read, lambda self, *a: (self, a))
+        for corruption in (None, ViewCorruption(block_number=1,
+                                                fake_hash=ZERO)):
+            view = ChainView(chain, corruption)
+            assert getattr(view, read)(*args) == (view, args)

@@ -648,7 +648,13 @@ class TestCli:
              "workload": [{"tick": 1, "action": "bridge_flood",
                            "count": 10_000}]},
             # more signatories than the adapter's U16 key list holds
-            {"signatory_modes": ["honest"] * (1 << 16)}):
+            {"signatory_modes": ["honest"] * (1 << 16)},
+            # a network id of 80,000 UTF-8 bytes behind a U16 length, and
+            # more attacker signatures than a bundle's U16 count holds
+            {"source": {"network_id": "\u00e9" * 40_000}},
+            {"workload": [dict(request, action="direct_process_transfer",
+                               transfer_id=0,
+                               attacker_signers=[0] * 70_000)]}):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert cli_main(["run", str(path)]) == 2, doc
