@@ -10,9 +10,15 @@ transfer.
 
 `jobs` maps each transfer id to its real job and is the only table that
 holds real job objects; `moving`, `queued` and `by_source_tx` hold transfer
-ids. A job submits once no earlier id is still in progress (`IN_PROGRESS`),
-as the destination adapter's nonce check would revert it otherwise. Real
-jobs that are neither `done` nor `stalled` are split in two id sets, kept by
+ids. Each job keeps one source block, `source_block`: the block that holds
+its request, or the one a forged job claims.
+
+One rule holds a job back, as the destination adapter's nonce check would
+revert it otherwise: the ``blocked`` flag of `BridgeNode.step`'s pass in id
+order, set once an earlier id is still in progress (`IN_PROGRESS`) or awaits
+dest finality while its `Processed` tx is off the dest chain. A blocked job
+does not submit, and an `OutOfOrder` revert costs it no attempt. Real jobs
+that are neither `done` nor `stalled` are split in two id sets, kept by
 `BridgeNode._track` once `restore` has filled them:
 
 - `queued` holds the parked jobs: in `submitting`, with no tx out and not
@@ -29,7 +35,7 @@ jobs that are neither `done` nor `stalled` are split in two id sets, kept by
 `by_source_tx` maps a source tx hash to the ids of the real jobs in
 `submitting` that carry it, so the dest event scan looks each event up
 instead of scanning the jobs. Forged jobs have their own list, visited every
-step; they skip the ordering rule, and the dest scan matches them from that
+step; they skip the hold-back rule, and the dest scan matches them from that
 list.
 
 The store is the journal plus one immutable record per job (the job's
@@ -95,9 +101,8 @@ class TransferJob:
     transfer: TransferMessage
     state: str = "detected"
     attempts: int = 0
-    source_block_number: int = 0
-    source_block: Block | None = None  # where the scan saw the request
-    source_block_hash: bytes = b""  # a forged job's claimed hash
+    # where the request is, or where a forged job claims it is
+    source_block: Block | None = None
     digest: bytes = b""
     request_tick: int = -1
     transient_refusal: bool = False
@@ -265,7 +270,8 @@ class BridgeNode:
         resubmitted; the destination adapter's processed map turns
         duplicates into AlreadyProcessed events. Only the live jobs that can
         act and the forged jobs are thawed, and a record is overwritten only
-        for a job whose sent tx or signing request is reset here."""
+        for a job whose sent tx is reset here. A collecting job's record
+        holds no request tick, so it rebroadcasts on its next step."""
         node = cls(config, source_view, dest_view, dest_chain, post)
         node.journal, node.alarms = list(image.journal), list(image.alarms)
         node._records, node._forged = dict(image.records), dict(image.forged)
@@ -289,19 +295,11 @@ class BridgeNode:
         node._heads = list(node.queued)
         heapify(node._heads)
         for job in acting + node.forged_jobs:
-            if job.state in FINAL_STATES:
-                continue  # a final forged job
-            sent = job.state == "submitting" and job.submitted_tx
-            asked = (job.state == "collectingSignatures"
-                     and job.request_tick != -1)
-            if sent:
+            if job.state == "submitting" and job.submitted_tx:
                 # the submitted tx may or may not have landed; resubmit
                 job.submitted_tx = b""
-            if asked:
-                job.request_tick = -1  # rebroadcast on the next step
-            node._track(job)
-            if sent or asked:
                 node._persist(job)
+            node._track(job)
         return node
 
     def stalls(self) -> list[list]:
@@ -365,7 +363,8 @@ class BridgeNode:
         self._scan_source(tick)
         self._scan_dest(tick)
         self._collect_responses(tick)
-        # in id order: ``blocked`` holds once an earlier id is still in progress
+        # in id order: ``blocked`` holds once an earlier id is still in
+        # progress, or awaits dest finality with its Processed tx lost
         order = sorted(self.moving)
         while self._heads and self._heads[0] not in self.queued:
             heappop(self._heads)  # an id that left the queue since its push
@@ -378,7 +377,9 @@ class BridgeNode:
                 continue  # it would wait, and it blocks later ids either way
             job = self.jobs[tid]
             self._advance(job, tick, blocked)
-            blocked = blocked or job.state in IN_PROGRESS
+            blocked = blocked or job.state in IN_PROGRESS or (
+                job.state == "awaitingDestFinality"
+                and self.dest_view.get_receipt(job.processed_tx) is None)
         for job in self.forged_jobs:
             self._advance(job, tick)
 
@@ -398,9 +399,7 @@ class BridgeNode:
                 continue
             job = TransferJob(
                 transfer=transfer,
-                source_block_number=ev.block_number,
-                source_block=self.source_view.get_block(ev.block_number),
-            )
+                source_block=self.source_view.get_block(ev.block_number))
             self.jobs[transfer_id] = job
             self._transition(tick, job, "awaitingFinality",
                              f"sealed at {ev.block_number}")
@@ -490,9 +489,8 @@ class BridgeNode:
 
     def _broadcast_request(self, job: TransferJob, tick: int) -> None:
         req = SigningRequest(
-            source_block_number=job.source_block_number,
-            source_block_hash=(job.source_block.block_hash if job.source_block
-                               else job.source_block_hash),
+            source_block_number=job.source_block.number,
+            source_block_hash=job.source_block.block_hash,
             source_transaction_hash=job.transfer.source_transaction_hash,
             transfer_data_hash=job.digest,
             transfer=job.transfer,
@@ -535,8 +533,8 @@ class BridgeNode:
             self.inflight = None
             job.submitted_tx = b""
             self._track(job)
-            if not (receipt.reason == "OutOfOrder"
-                    and self._delivery_lost_before(job.transfer_id)):
+            # held back by an earlier id: the revert is not this job's own
+            if not (receipt.reason == "OutOfOrder" and blocked):
                 job.attempts += 1
             if job.attempts > self.config.max_retries:
                 job.stall_reason = f"destinationRejected:{receipt.reason}"
@@ -544,6 +542,7 @@ class BridgeNode:
                 return
             if receipt.reason == "InvalidSignature":
                 job.collected.clear()
+                job.request_tick = -1  # so the record written next holds none
                 self._transition(tick, job, "collectingSignatures",
                                  "re-collecting after InvalidSignature")
                 self._broadcast_request(job, tick)
@@ -551,21 +550,9 @@ class BridgeNode:
             # other rejections: retry the identical signed payload
         if self.inflight is not None and self.inflight is not job:
             return  # strictly one in-flight destination submission
-        if blocked or self._delivery_lost_before(job.transfer_id):
+        if blocked:
             return  # an earlier id must land first or the nonce check reverts
         self._submit(job, tick)
-
-    def _delivery_lost_before(self, tid: int) -> bool:
-        """Whether a job with an id below ``tid`` awaits dest finality while
-        the tx that processed it has left the dest chain. The nonce check
-        reverts ``tid`` `OutOfOrder` until that job, sent again at dest
-        finality, lands; such a revert is not ``tid``'s own failure."""
-        for earlier in self.moving:
-            job = self.jobs[earlier]
-            if (earlier < tid and job.state == "awaitingDestFinality"
-                    and self.dest_view.get_receipt(job.processed_tx) is None):
-                return True
-        return False
 
     def _submit(self, job: TransferJob, tick: int) -> None:
         if not job.submitted_payload:
@@ -615,12 +602,9 @@ class BridgeNode:
                             f"replayed tx {tx_hash.hex()[:16]}")
 
     def byzantine_forge(self, m: TransferMessage, tick: int,
-                        claimed_block: int = 0,
-                        claimed_block_hash: bytes = b"\x00" * 32) -> None:
+                        claimed_block: Block) -> None:
         """Fabricate a transfer that never occurred on the source chain."""
-        job = TransferJob(transfer=m, forged=True,
-                          source_block_number=claimed_block,
-                          source_block_hash=claimed_block_hash,
+        job = TransferJob(transfer=m, forged=True, source_block=claimed_block,
                           state="awaitingFinality")
         self.forged_jobs.append(job)
         self._write_journal(tick, job, "forged", "awaitingFinality",

@@ -165,16 +165,6 @@ class Block:
 
 
 @dataclass(frozen=True)
-class ReorgRecord:
-    depth: int
-    old_head: int
-    new_head: int
-    dropped: tuple
-    replayed: tuple
-    excluded: tuple  # dependents excluded by the in-order rule
-
-
-@dataclass(frozen=True)
 class ViewCorruption:
     """A deterministic lie applied by a read-only chain view: block
     ``block_number`` shown under ``fake_hash``, holding only the fake tx and
@@ -412,7 +402,7 @@ class Chain:
                 dict.__setitem__(target, key, prior)
         del log[mark:]
 
-    def inject_reorg(self, depth: int, drop_txs: set[bytes] = frozenset()) -> ReorgRecord:
+    def inject_reorg(self, depth: int, drop_txs: set[bytes] = frozenset()) -> None:
         head = self.blocks[-1].number
         if depth < 1 or depth > head:
             raise InvalidReorg(f"depth {depth} with head {head}")
@@ -420,8 +410,6 @@ class Chain:
         orphaned = self.blocks[fork + 1:]
         replay = [tx for b in orphaned for tx in b.transactions
                   if tx.tx_hash not in drop_txs]
-        dropped = tuple(tx.tx_hash for b in orphaned for tx in b.transactions
-                        if tx.tx_hash in drop_txs)
         # rewind
         self._undo(self._marks[fork])
         del self.blocks[fork + 1:]
@@ -430,18 +418,9 @@ class Chain:
             for tx in b.transactions:
                 self.tx_index.pop(tx.tx_hash, None)
         # new, strictly longer branch: replay everything into its first block
-        new_first = self._execute_block(replay, self.tick, enforce_seq=True)
-        self._append(new_first)
+        self._append(self._execute_block(replay, self.tick, enforce_seq=True))
         for _ in range(depth):
             self._append(self._execute_block([], self.tick, enforce_seq=False))
-        replayed = tuple(tx.tx_hash for tx in new_first.transactions)
-        replayed_set = set(replayed)
-        excluded = tuple(tx.tx_hash for tx in replay
-                         if tx.tx_hash not in replayed_set)
-        return ReorgRecord(depth=depth, old_head=head,
-                           new_head=self.blocks[-1].number,
-                           dropped=dropped, replayed=replayed,
-                           excluded=excluded)
 
     # -- canonical read API (the view handed to protocol actors) -------------
 

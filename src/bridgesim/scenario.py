@@ -293,8 +293,9 @@ CHAIN_CONFIG = {"network_id": (_network_id, ...), "block_time_ticks": (
     "finality_depth": (U64, 6)}
 FIELDS = {  # in checking order: a check may read the fields before it
     **dict.fromkeys(("seed", "max_ticks", "transaction_fee", "rate_budget",
-                     "rate_window_ticks", "sign_timeout_ticks", "max_retries",
+                     "sign_timeout_ticks", "max_retries",
                      "liveness_timeout_ticks"), U64),
+    "rate_window_ticks": range(1, 1 << 64),
     "source": CHAIN_CONFIG, "dest": CHAIN_CONFIG,
     "accept_only_authorized": bool, "monitor_auto_pause": bool,
     "authorized_senders": [str],
@@ -699,9 +700,7 @@ class World:
         m = self._forged_message(a)
         head = self.source.head_number()
         claimed = max(0, head - self.source.config.finality_depth)
-        block = self.source.get_block(claimed)
-        self.bridge.byzantine_forge(m, self.tick, claimed_block=claimed,
-                                    claimed_block_hash=block.block_hash)
+        self.bridge.byzantine_forge(m, self.tick, self.source.get_block(claimed))
 
     def _do_bridge_flood(self, a: dict) -> None:
         self.bridge.byzantine_flood(a["count"], self.tick)

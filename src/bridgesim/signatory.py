@@ -48,7 +48,7 @@ class RateLimiter:
 
     def __init__(self, budget: int, window_ticks: int):
         self.budget = budget
-        self.window_ticks = max(1, window_ticks)
+        self.window_ticks = window_ticks
         self._window = self._count = 0  # the current window and its count
 
     def admit(self, tick: int) -> bool:

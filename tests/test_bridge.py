@@ -12,6 +12,7 @@ import bridgesim.bridge as bridge_module
 from bridgesim import ScenarioConfig, World, contract_address
 from bridgesim.adapter import event_attr
 from bridgesim.bridge import FINAL_STATES, BridgeNode, TransferJob
+from bridgesim.signatory import SignResponse
 
 
 def transfer_action(i, tick, **kw):
@@ -103,6 +104,22 @@ class TestPipeline:
 
         _, report = run(config, on_tick=check)
         assert len(report.delivered) == 6
+
+    def test_cursory_checks_drop_malformed_responses(self):
+        world = World(ScenarioConfig(signatory_modes=["refuse"] * 3,
+                                     workload=[transfer_action(0, 1)]))
+        while not (0 in world.bridge.jobs and
+                   world.bridge.jobs[0].state == "collectingSignatures"):
+            world.step()
+        bridge = world.bridge
+        known = bridge.config.signatory_keys[0]
+        for pub, sig in ((known, b"\x01" * 63), (b"\x02" * 32, b"\x01" * 64)):
+            bridge.inbox.append((0, SignResponse.signed(pub, sig)))
+            bridge._collect_responses(world.tick)
+            assert bridge.jobs[0].collected == {}
+        bridge.inbox.append((0, SignResponse.signed(known, b"\x01" * 64)))
+        bridge._collect_responses(world.tick)
+        assert bridge.jobs[0].collected == {known: b"\x01" * 64}
 
     def test_journal_line_format(self):
         config = ScenarioConfig(workload=[transfer_action(0, 1)])
@@ -357,6 +374,25 @@ class TestCrashRecovery:
                        if j.state == "collectingSignatures")
             world.step()
 
+    def test_collecting_record_holds_no_request_tick(self):
+        # every wrongSignature bundle reverts InvalidSignature, so the job
+        # goes back to collecting; its record keeps no request out, so a
+        # restore of it rebroadcasts
+        collecting = Counter()
+
+        def check(world, tick):
+            for record in world.bridge.persisted.records.values():
+                job = bridge_module._thaw(record)
+                if job.state == "collectingSignatures":
+                    assert job.request_tick == -1, tick
+                    collecting[job.attempts] += 1
+
+        _, report = run(ScenarioConfig(
+            signatory_modes=["wrongSignature"] * 3,
+            workload=[transfer_action(0, 1)]), on_tick=check)
+        assert report.stalls == [[0, "destinationRejected:InvalidSignature"]]
+        assert collecting[0] and collecting[1]  # first collect, and re-collect
+
     def test_replay_after_restart_sends_the_payload(self):
         world, _ = run(ScenarioConfig(
             workload=[transfer_action(i, 1) for i in range(3)]))
@@ -541,6 +577,21 @@ class TestDestReorg:
                  if " | 1 | submitting -> submitting | tx " in line]
         assert sends == ["11", "18"]
         assert world.bridge.jobs[1].attempts == 0
+
+    def test_drop_at_dest_finality_holds_the_next_id_back(self):
+        # the dest reorg at tick 16 drops transfer 0's Processed tx in the
+        # tick it reaches dest finality, while transfer 1's tx is out: 0 goes
+        # back to submitting, 1's OutOfOrder revert costs no attempt
+        path = DEST_DROP.with_name("dest_drop_at_finality.json")
+        config = ScenarioConfig.from_json(path.read_text())
+        assert config.max_retries == 0
+        for max_retries in (0, ScenarioConfig().max_retries):
+            world, report = run(replace(config, max_retries=max_retries))
+            assert [d[0] for d in report.delivered] == [0, 1]
+            assert report.stalls == []
+            assert report.classification == "low"
+            assert world.bridge.jobs[1].attempts == 0
+            assert len(processed(world, 1)) == 1
 
     def test_restart_between_reorg_and_dest_finality_delivers_once(self):
         world, report = run(dest_drop({"tick": 14, "action": "bridge_restart"}))
@@ -753,6 +804,32 @@ class TestByzantine:
         token = world.dest.contracts[
             contract_address("beta", "token")]
         assert token.state["total_supply"] == 0
+
+    def test_forged_and_real_jobs_hold_one_tx_out(self):
+        # a colluding quorum signs a forged id 2 at once; the forged job
+        # skips the hold-back rule, and only the in-flight guard keeps its
+        # tx from going out beside real id 0's
+        dest = {**ScenarioConfig().dest, "block_time_ticks": 2}
+        config = ScenarioConfig(
+            signatory_modes=["colluding"] * 3, dest=dest,
+            workload=[{"tick": 1, "action": "bridge_forge",
+                       "transfer_id": 2, "recipient": "storage",
+                       "call": {"signature": "setValue(uint128)",
+                                "args": [99]}}]
+            + [transfer_action(i, t) for i, t in enumerate((1, 3, 5, 7))])
+        out = set()
+
+        def check(world, tick):
+            bridge = world.bridge
+            sent = [j.transfer_id for j in (*bridge.jobs.values(),
+                                            *bridge.forged_jobs)
+                    if j.state == "submitting" and j.submitted_tx]
+            assert len(sent) <= 1, (tick, sent)
+            out.update(sent)
+
+        _, report = run(config, on_tick=check)
+        assert out == {0, 1, 2, 3}
+        assert [d[0] for d in report.delivered] == [0, 1, 2, 3]
 
     def test_replay_of_completed_transfer_is_rejected_on_chain(self):
         config = ScenarioConfig(

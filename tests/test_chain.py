@@ -249,10 +249,9 @@ class TestReorg:
         for t in range(1, 6):
             chain.mine_block(tick=t)
         old = [chain.get_block(n).block_hash for n in range(6)]
-        record = chain.inject_reorg(depth=3)
-        assert record.old_head == 5
-        assert record.new_head == 6  # depth d suffix replaced by d+1 blocks
-        assert chain.head_number() == 6
+        assert chain.head_number() == 5
+        chain.inject_reorg(depth=3)
+        assert chain.head_number() == 6  # depth d suffix replaced by d+1 blocks
         # blocks up to the fork point unchanged, everything after replaced
         for n in range(3):
             assert chain.get_block(n).block_hash == old[n]
@@ -271,12 +270,15 @@ class TestReorg:
 
     def test_orphaned_txs_replayed(self):
         chain = make_chain()
-        tx = set_value(chain, 42)
         chain.mine_block(tick=1)
+        tx = set_value(chain, 42)
         chain.mine_block(tick=2)
-        record = chain.inject_reorg(depth=2)
-        assert tx.tx_hash in record.replayed
-        assert chain.get_transaction(tx.tx_hash) is not None
+        assert chain.get_transaction(tx.tx_hash)[1] == 2
+        chain.inject_reorg(depth=2)
+        # replayed into the new branch's first block, fork + 1
+        assert chain.get_transaction(tx.tx_hash) == (tx, 1)
+        assert chain.get_block(1).transactions == (tx,)
+        assert chain.get_receipt(tx.tx_hash).status == "ok"
         assert chain.contracts[STORE].state["value"] == 42
 
     def test_dropped_tx_vanishes(self):
@@ -284,8 +286,9 @@ class TestReorg:
         tx = set_value(chain, 42)
         chain.mine_block(tick=1)
         chain.mine_block(tick=2)
-        record = chain.inject_reorg(depth=2, drop_txs={tx.tx_hash})
-        assert record.dropped == (tx.tx_hash,)
+        chain.inject_reorg(depth=2, drop_txs={tx.tx_hash})
+        assert not any(chain.get_block(n).transactions
+                       for n in range(chain.head_number() + 1))
         assert chain.get_transaction(tx.tx_hash) is None
         assert chain.get_receipt(tx.tx_hash) is None
         assert chain.confirmations(tx.tx_hash) is None
@@ -297,9 +300,12 @@ class TestReorg:
         first = set_value(chain, 1)
         second = set_value(chain, 2)
         chain.mine_block(tick=1)
-        record = chain.inject_reorg(depth=1, drop_txs={first.tx_hash})
-        assert record.excluded == (second.tx_hash,)
+        chain.inject_reorg(depth=1, drop_txs={first.tx_hash})
+        assert not any(chain.get_block(n).transactions
+                       for n in range(chain.head_number() + 1))
+        assert chain.get_transaction(first.tx_hash) is None
         assert chain.get_transaction(second.tx_hash) is None
+        assert chain.get_receipt(second.tx_hash) is None
         assert chain.contracts[STORE].state["value"] == 0
 
     def test_unrelated_sender_survives_drop(self):

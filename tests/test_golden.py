@@ -50,6 +50,8 @@ GOLDEN = {
         "9eb7bdd911e61c67e5fb0e3f4ca1139d76b06394627e7c12f68afb5f0c58931b",
     "dest_drop_relay_tx":
         "368d2658cfb2c5ed8dfe7cf1675dfad3cd9e457c54b38762fecefc8dc44f7bd4",
+    "dest_drop_at_finality":
+        "c0c3f2007fcbec0998ff4304f9becb1a92ed2398ef5e485eae56c419b57439a7",
 }
 
 SUITE_GOLDEN = {
@@ -113,6 +115,15 @@ def test_dest_drop_relay_tx_file():
     path = Path(__file__).parents[1] / "scenarios" / "dest_drop_relay_tx.json"
     config = ScenarioConfig.from_json(path.read_text())
     assert digest(config) == GOLDEN["dest_drop_relay_tx"]
+
+
+def test_dest_drop_at_finality_file():
+    # a depth-5 dest reorg drops the tx that processed transfer 0 in the tick
+    # transfer 0 reaches dest finality, while transfer 1's tx is out; with
+    # max_retries 0, transfer 1 is held back, not stalled, and both arrive
+    path = Path(__file__).parents[1] / "scenarios" / "dest_drop_at_finality.json"
+    config = ScenarioConfig.from_json(path.read_text())
+    assert digest(config) == GOLDEN["dest_drop_at_finality"]
 
 
 @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)

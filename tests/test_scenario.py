@@ -581,6 +581,7 @@ class TestCli:
             {"source": {"network_id": 5}}, {"source": {"network_id": ""}},
             # scalar fields of the wrong type or out of range
             {"max_ticks": "x"}, {"sign_timeout_ticks": "x"}, {"seed": -1},
+            {"rate_window_ticks": 0},
             {"censor_transfer_id": "x"}, {"monitor_auto_pause": 1},
             {"workload": [[1]]}, {"authorized_senders": [1]},
             # gas and transfer ids outside their 64-bit fields

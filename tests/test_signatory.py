@@ -119,6 +119,39 @@ class TestHonest:
         resp = make_signatory(chain).handle_sign_request(bad, tick=10)
         assert (resp.kind, resp.reason) == ("refused", "TxNotFound")
 
+    def test_refuses_final_tx_without_request_event(self):
+        chain, tx_hash = build_source()
+        req = build_request(chain, tx_hash)
+        # a canonical tx that the adapter emitted no request event for
+        other = chain.make_transaction(sender=ALICE, recipient=OWNER,
+                                       payload=b"")
+        chain.submit_transaction(other)
+        number = chain.mine_block(tick=20).number
+        for t in range(21, 21 + MINCONF):
+            chain.mine_block(tick=t)
+        block = chain.get_block(number)
+        assert other in block.transactions
+        assert not any(ev.name == "BridgeTransferRequested"
+                       for ev in block.events)
+        from dataclasses import replace
+        bad = replace(req, source_block_number=number,
+                      source_block_hash=block.block_hash,
+                      source_transaction_hash=other.tx_hash,
+                      transfer=replace(req.transfer,
+                                       source_transaction_hash=other.tx_hash))
+        resp = make_signatory(chain).handle_sign_request(bad, tick=30)
+        assert (resp.kind, resp.reason) == ("refused", "TxNotFound")
+
+    def test_refuses_another_transfer_id(self):
+        chain, tx_hash = build_source()
+        req = build_request(chain, tx_hash)
+        from dataclasses import replace
+        bad = replace(req, transfer=replace(
+            req.transfer,
+            source_transfer_id=req.transfer.source_transfer_id + 1))
+        resp = make_signatory(chain).handle_sign_request(bad, tick=10)
+        assert (resp.kind, resp.reason) == ("refused", "TxNotFound")
+
     def test_refuses_orphaned_transaction(self):
         chain, tx_hash = build_source()
         req = build_request(chain, tx_hash)
