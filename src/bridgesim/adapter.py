@@ -136,8 +136,6 @@ def _u64(v: int) -> bytes:
 class AdapterContract:
     """One adapter instance; its state dict is journaled by the chain."""
 
-    kind = "adapter"
-
     def __init__(self, address: bytes, owner: bytes, relayer: bytes,
                  signatories: list[bytes], quorum_size: int,
                  transaction_fee: int, accept_only_authorized: bool = False,
@@ -206,6 +204,7 @@ class AdapterContract:
         if prior is not None:
             ctx.emit(self.address, "AlreadyProcessed", [
                 ("sourceTxHash", m.source_transaction_hash),
+                ("transferId", _u64(m.source_transfer_id)),
                 ("originalBlockNumber", _u64(prior)),
             ])
             return

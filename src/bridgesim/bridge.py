@@ -2,16 +2,16 @@
 
 The bridge is a single logical actor advanced once per scheduler tick. It
 posts each signatory the `SigningRequest` object itself and reads
-`(transfer_id, SignResponse)` pairs from `inbox`. All job-state transitions
-are appended to a journal by `_write_journal` alone, which writes the job's
-record through to the store, so a bridge can be killed at any transition
-point and rebuilt with `BridgeNode.restore` without ever double-delivering a
-transfer.
+`(transfer_id, digest, SignResponse)` triples from `inbox`, ``digest`` being
+the request's. All job-state transitions are appended to a journal by
+`_write_journal` alone, which writes the job's record through to the store,
+so a bridge can be killed at any transition point and rebuilt with
+`BridgeNode.restore` without ever double-delivering a transfer.
 
 `jobs` maps each transfer id to its real job and is the only table that
-holds real job objects; `moving`, `queued` and `by_source_tx` hold transfer
-ids. Each job keeps one source block, `source_block`: the block that holds
-its request, or the one a forged job claims.
+holds real job objects; `moving` and `queued` hold transfer ids. Each job
+keeps one source block, `source_block`: the block that holds its request, or
+the one a forged job claims.
 
 One rule holds a job back, as the destination adapter's nonce check would
 revert it otherwise: the ``blocked`` flag of `BridgeNode.step`'s pass in id
@@ -32,11 +32,14 @@ that are neither `done` nor `stalled` are split in two id sets, kept by
   order. A censored job stays here, so it stalls at its first visit even
   behind earlier ids.
 
-`by_source_tx` maps a source tx hash to the ids of the real jobs in
-`submitting` that carry it, so the dest event scan looks each event up
-instead of scanning the jobs. Forged jobs have their own list, visited every
-step; they skip the hold-back rule, and the dest scan matches them from that
-list.
+Every job is found by its transfer id: `_with_id` gives the live real job
+with that id, then the forged jobs with it. A dest event moves those in
+`submitting` that carry its source tx hash; a signing response reaches the
+first of them in `collectingSignatures` whose digest it signs. Forged jobs
+have their own list, visited every step, and skip the hold-back rule. A
+reorg only raises an alarm: each job reacts through its own checks,
+`sourceOrphaned` at source finality and the canonical-receipt check at dest
+finality.
 
 The store is the journal plus one immutable record per job (the job's
 fields as a tuple, `collected` as a tuple of pairs): `_persist` overwrites a
@@ -46,8 +49,8 @@ written so far and serialises nothing. A restart costs time in the jobs that
 can act, not in the backlog: `restore` files the parked jobs by reading
 their records' state and sent tx, and thaws only the other live jobs and the
 forged jobs; every other job stays its record in `jobs` (a `_JobTable`) until
-read, e.g. as the unblocked queue head or by the dest scan matching its
-source hash. The report reads the stall reasons from the records.
+read, e.g. as the unblocked queue head or by a dest event naming its id.
+The report reads the stall reasons from the records.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from collections import UserDict
 from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .adapter import (
     encode_process_transfer,
@@ -87,13 +90,12 @@ class BridgeConfig:
     signatory_ids: list[str]
     signatory_keys: list[bytes]
     quorum_size: int
-    source_finality: int = 6
-    dest_finality: int = 6
-    sign_timeout_ticks: int = 8
-    max_retries: int = 3
-    liveness_timeout_ticks: int = 50
-    reorg_response: str = "continue"  # pause | retry | continue
-    censor_transfer_id: int | None = None
+    source_finality: int
+    dest_finality: int
+    sign_timeout_ticks: int
+    max_retries: int
+    liveness_timeout_ticks: int
+    censor_transfer_id: int | None
 
 
 @dataclass
@@ -123,8 +125,8 @@ class TransferJob:
 _FIELDS = [f.name for f in fields(TransferJob)]
 _OTHER_FIELDS = attrgetter(*_FIELDS[:-1])
 # where restore and stalls read a record without thawing it
-_TRANSFER, _STATE, _SENT_TX, _STALL_REASON = map(
-    _FIELDS.index, ("transfer", "state", "submitted_tx", "stall_reason"))
+_STATE, _SENT_TX, _STALL_REASON = map(
+    _FIELDS.index, ("state", "submitted_tx", "stall_reason"))
 
 
 def _freeze(job: TransferJob) -> tuple:
@@ -186,7 +188,6 @@ class BridgeNode:
         self.moving: set[int] = set()
         self.queued: set[int] = set()
         self._heads: list[int] = []  # a heap of the queued ids, and stale ones
-        self.by_source_tx: dict[bytes, set[int]] = {}
         self.forged_jobs: list[TransferJob] = []
         self.journal: list[str] = []
         self.inbox: list = []
@@ -222,20 +223,13 @@ class BridgeNode:
                 and tid != self.config.censor_transfer_id)
 
     def _track(self, job: TransferJob) -> None:
-        """File a real ``job``'s id in ``moving``, ``queued`` (and its heap)
-        and ``by_source_tx`` after its state or ``submitted_tx`` changed;
-        besides ``restore``, the only writer of the three. Forged jobs are in
-        none."""
+        """File a real ``job``'s id in ``moving`` or ``queued`` (and its
+        heap) after its state or ``submitted_tx`` changed; besides
+        ``restore``, the only writer of the two. Forged jobs are in neither."""
         if job.forged:
             return
-        tid, src_hash = job.transfer_id, job.transfer.source_transaction_hash
+        tid = job.transfer_id
         self.moving.discard(tid)
-        carriers = self.by_source_tx.pop(src_hash, set())
-        carriers.discard(tid)
-        if job.state == "submitting":
-            carriers.add(tid)
-        if carriers:
-            self.by_source_tx[src_hash] = carriers
         if self._parked(tid, job.state, job.submitted_tx):
             if tid not in self.queued:
                 self.queued.add(tid)
@@ -288,8 +282,6 @@ class BridgeNode:
             if node._parked(tid, state, record[_SENT_TX]):
                 # only the queue head can act, so thaw it later
                 node.queued.add(tid)
-                src_hash = record[_TRANSFER].source_transaction_hash
-                node.by_source_tx.setdefault(src_hash, set()).add(tid)
             else:
                 acting.append(node.jobs[tid])
         node._heads = list(node.queued)
@@ -345,11 +337,6 @@ class BridgeNode:
         shown = view.get_block(prev.number)
         if shown is not prev and shown.block_hash != prev.block_hash:
             self.alarms.append(("reorg", name, tick))
-            if self.config.reorg_response == "pause":
-                self.paused = True
-            elif self.config.reorg_response == "retry" and name == "source":
-                finalized = max(0, head.number - self.config.source_finality)
-                self.source_cursor = min(self.source_cursor, finalized)
         st.last_seen_head = head
 
     # -- main loop -----------------------------------------------------------
@@ -415,7 +402,12 @@ class BridgeNode:
         for ev in events:
             if ev.name not in ("Processed", "AlreadyProcessed"):
                 continue
-            for job in self._carriers(event_attr(ev, "sourceTxHash")):
+            src_hash = event_attr(ev, "sourceTxHash")
+            tid = int.from_bytes(event_attr(ev, "transferId"), "big")
+            for job in self._with_id(tid):
+                if (job.state != "submitting"
+                        or job.transfer.source_transaction_hash != src_hash):
+                    continue
                 if self.inflight is job:
                     self.inflight = None
                 if ev.name == "Processed":
@@ -427,25 +419,24 @@ class BridgeNode:
                     self._transition(tick, job, "done",
                                      "already processed on resubmission")
 
-    def _carriers(self, src_hash: bytes) -> list[TransferJob]:
-        """The jobs in ``submitting`` that carry ``src_hash``: the real ones
-        in the order of ``jobs``, then the forged ones in list order."""
-        tids = self.by_source_tx.get(src_hash, ())
-        if len(tids) > 1:
-            rank = {tid: i for i, tid in enumerate(self.jobs)}
-            tids = sorted(tids, key=rank.__getitem__)
-        return [self.jobs[tid] for tid in tids] + [
-            j for j in self.forged_jobs if j.state == "submitting"
-            and j.transfer.source_transaction_hash == src_hash]
+    def _with_id(self, tid: int) -> Iterator[TransferJob]:
+        """The live real job with id ``tid``, then the forged jobs with that
+        id in list order. A final real job is not read, so its record stays
+        unthawed."""
+        if tid in self.moving or tid in self.queued:
+            yield self.jobs[tid]
+        for job in self.forged_jobs:
+            if job.transfer_id == tid:
+                yield job
 
     def _collect_responses(self, tick: int) -> None:
         inbox, self.inbox = self.inbox, []
-        for transfer_id, resp in inbox:
-            job = self.jobs.get(transfer_id) or next(
-                (j for j in self.forged_jobs if j.transfer_id == transfer_id),
-                None)
-            if job is None or job.state != "collectingSignatures":
-                continue
+        for transfer_id, digest, resp in inbox:
+            for job in self._with_id(transfer_id):
+                if job.state == "collectingSignatures" and job.digest == digest:
+                    break
+            else:
+                continue  # no job awaits signatures over this digest
             if resp.kind == "refused":
                 if resp.reason == "InsufficientFinality":
                     job.transient_refusal = True

@@ -9,7 +9,6 @@ from .codec import EncodingError, decode_function_call
 class UserContract:
     """Base for contracts whose payloads are encoded function calls."""
 
-    kind = "userContract"
     signatures: list[str] = []
 
     def __init__(self, address: bytes):

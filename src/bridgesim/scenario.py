@@ -302,7 +302,6 @@ FIELDS = {  # in checking order: a check may read the fields before it
     "signatory_modes": [BEHAVIOR_MODES, range(1, 1 << 16)],  # U16 key lists
     "quorum_size": (None, _quorum), "signatory_min_confirmations": (None, U64),
     "censor_transfer_id": (None, U64),
-    "reorg_response": ("pause", "retry", "continue"),
     "expected_config_changes": [_config_change],
     "workload": _workload,
 }
@@ -334,7 +333,6 @@ class ScenarioConfig:
     sign_timeout_ticks: int = 8
     max_retries: int = 3
     liveness_timeout_ticks: int = 50
-    reorg_response: str = "continue"
     censor_transfer_id: int | None = None
     monitor_auto_pause: bool = False
     # allow-listed adapter changes, each [chain role, field]: ["dest", "relayer"]
@@ -473,7 +471,6 @@ class World:
             sign_timeout_ticks=config.sign_timeout_ticks,
             max_retries=config.max_retries,
             liveness_timeout_ticks=config.liveness_timeout_ticks,
-            reorg_response=config.reorg_response,
             censor_transfer_id=config.censor_transfer_id,
         )
         self.bridge = BridgeNode(
@@ -493,8 +490,8 @@ class World:
 
     def post(self, recipient: str, message) -> None:
         """Deliver ``message`` to ``recipient`` at the next tick: a
-        ``SigningRequest`` to a signatory, or ``(transfer_id, SignResponse)``
-        to the bridge."""
+        ``SigningRequest`` to a signatory, or ``(transfer_id, digest,
+        SignResponse)`` to the bridge, ``digest`` being the request's."""
         self.bus.append((self.tick + 1, recipient, message))
 
     def _deliver(self) -> None:
@@ -511,7 +508,8 @@ class World:
             for req in inbox:
                 resp = s.handle_sign_request(req, self.tick)
                 if resp is not None:
-                    self.post("bridge", (req.transfer.source_transfer_id, resp))
+                    self.post("bridge", (req.transfer.source_transfer_id,
+                                         req.transfer_data_hash, resp))
 
     def _run_config_monitor(self) -> None:
         for name, chain in self.chains.items():

@@ -79,14 +79,12 @@ class Signatory:
         self.mode = mode
         self.min_confirmations = min_confirmations
         self.rate_limiter = RateLimiter(rate_budget, rate_window_ticks)
-        self.handled = 0  # admitted requests, for rate-limit assertions
 
     def handle_sign_request(self, req: SigningRequest,
                             tick: int) -> SignResponse | None:
         """None models silence: a dropped or refused-to-answer request."""
         if not self.rate_limiter.admit(tick):
             return None
-        self.handled += 1
         if self.mode == "refuse":
             return None
         if self.mode == "colluding":

@@ -57,8 +57,8 @@ def restart_work(monkeypatch, world):
 def node_state(node):
     """Everything a restored bridge holds but its view of the chain heads."""
     return (node.persisted, dict(node.jobs.items()), node.forged_jobs,
-            node.moving, node.queued, sorted(node._heads), node.by_source_tx,
-            node.inbox, node.inflight)
+            node.moving, node.queued, sorted(node._heads), node.inbox,
+            node.inflight)
 
 
 def tx_out(world):
@@ -113,11 +113,13 @@ class TestPipeline:
             world.step()
         bridge = world.bridge
         known = bridge.config.signatory_keys[0]
+        digest = bridge.jobs[0].digest
         for pub, sig in ((known, b"\x01" * 63), (b"\x02" * 32, b"\x01" * 64)):
-            bridge.inbox.append((0, SignResponse.signed(pub, sig)))
+            bridge.inbox.append((0, digest, SignResponse.signed(pub, sig)))
             bridge._collect_responses(world.tick)
             assert bridge.jobs[0].collected == {}
-        bridge.inbox.append((0, SignResponse.signed(known, b"\x01" * 64)))
+        signed = SignResponse.signed(known, b"\x01" * 64)
+        bridge.inbox.append((0, digest, signed))
         bridge._collect_responses(world.tick)
         assert bridge.jobs[0].collected == {known: b"\x01" * 64}
 
@@ -258,28 +260,17 @@ class TestChainMonitoring:
         assert self.dest_reorg_alarms(workload, self.N + 20) == [
             ("reorg", "dest", self.N)]
 
-    def test_reorg_pause_response(self):
+    def test_reorg_that_keeps_the_request_block_alarms_and_delivers(self):
         config = ScenarioConfig(
-            reorg_response="pause",
-            workload=[transfer_action(0, 1),
-                      {"tick": 5, "action": "inject_reorg",
-                       "chain": "source", "depth": 2}],
-            max_ticks=120)
-        world, _ = run(config)
-        assert world.bridge.paused
-        assert any(a[0] == "reorg" and a[1] == "source"
-                   for a in world.bridge.alarms)
-
-    def test_reorg_retry_rescans_and_delivers(self):
-        config = ScenarioConfig(
-            reorg_response="retry",
             workload=[transfer_action(0, 2),
                       {"tick": 5, "action": "inject_reorg",
                        "chain": "source", "depth": 2}])
         world, report = run(config)
-        # the request was replayed on the new branch and still delivered once
+        # the reorg replaces blocks 3 and 4 and leaves the request's block 2
+        # canonical: one alarm, and the transfer is delivered once
         assert [d[0] for d in report.delivered] == [0]
         assert report.classification == "low"
+        assert world.bridge.alarms == [("reorg", "source", 5)]
 
     def test_reorg_continue_stalls_orphaned_job(self):
         config = ScenarioConfig(
@@ -740,19 +731,15 @@ class TestWork:
 
         def check(world, tick):
             bridge = world.bridge
-            moving, queued, carriers = set(), set(), {}
+            moving, queued = set(), set()
             for job in bridge.jobs.values():
                 if job.state in FINAL_STATES:
                     continue
                 parked = (job.state == "submitting" and not job.submitted_tx
                           and job.transfer_id != config.censor_transfer_id)
                 (queued if parked else moving).add(job.transfer_id)
-                if job.state == "submitting":
-                    carriers.setdefault(job.transfer.source_transaction_hash,
-                                        set()).add(job.transfer_id)
             assert bridge.moving == moving
             assert bridge.queued == queued
-            assert bridge.by_source_tx == carriers
             if queued:
                 queued_ticks.append(tick)
 
@@ -762,33 +749,74 @@ class TestWork:
         # the dest rejected submissions, which were retried until they stalled
         assert "destinationRejected:OutOfOrder" in reasons
 
-    def test_source_hash_lookup_keeps_table_order(self):
-        # jobs sharing a source tx hash are matched real ones first, each
-        # group in table order, whatever order they reached submitting in
+    def test_dest_event_moves_the_jobs_with_its_id_and_hash(self):
+        # an AlreadyProcessed event for id 1 moves the live real job 1, then
+        # the forged jobs with id 1 and its source hash, and no job with
+        # another id or hash
         world, _ = run(ScenarioConfig(
             workload=[transfer_action(i, 1) for i in range(3)]))
         bridge = world.bridge
-        src_hash = b"\x11" * 32
-        forged = TransferJob(transfer=bridge.jobs[1].transfer, forged=True)
-        bridge.forged_jobs.append(forged)
-        for job in (forged, bridge.jobs[2], bridge.jobs[0]):
-            job.transfer = replace(job.transfer,
-                                   source_transaction_hash=src_hash)
+        one, two = bridge.jobs[1], bridge.jobs[2]
+        for job in (one, two):
             job.state = "submitting"
             bridge._track(job)
-        assert [id(j) for j in bridge._carriers(src_hash)] == \
-            [id(bridge.jobs[0]), id(bridge.jobs[2]), id(forged)]
+        hash_one = one.transfer.source_transaction_hash
+        hash_two = two.transfer.source_transaction_hash
+        forged = [TransferJob(transfer=t, state="submitting", forged=True)
+                  for t in (one.transfer,
+                            replace(one.transfer,
+                                    source_transaction_hash=hash_two),
+                            replace(two.transfer,
+                                    source_transaction_hash=hash_one),
+                            one.transfer)]
+        bridge.forged_jobs += forged
+        bridge._send(one.submitted_payload)  # a replay of id 1
+        world.dest.mine_block(world.tick + 1)
+        lines = len(bridge.journal)
+        bridge._scan_dest(world.tick + 1)
+        assert [j.state for j in (one, two, *forged)] == [
+            "done", "submitting", "done", "submitting", "submitting", "done"]
+        assert [line.split(" | ")[1:3] for line in bridge.journal[lines:]] \
+            == [["1", "submitting -> done"]] * 3
+
+    def test_response_to_a_forged_digest_skips_the_real_job(self):
+        # a forged job shares real id 0; a signature over the forged digest
+        # reaches the forged job, never the real job's ``collected``
+        world = World(ScenarioConfig(signatory_modes=["refuse"] * 3,
+                                     workload=[transfer_action(0, 1)]))
+        while not (0 in world.bridge.jobs and
+                   world.bridge.jobs[0].state == "collectingSignatures"):
+            world.step()
+        bridge = world.bridge
+        real = bridge.jobs[0]
+        forged = TransferJob(transfer=real.transfer,
+                             state="collectingSignatures", forged=True,
+                             digest=b"\x03" * 32)
+        bridge.forged_jobs.append(forged)
+        known = bridge.config.signatory_keys[0]
+        signed = SignResponse.signed(known, b"\x01" * 64)
+        bridge.inbox.append((0, forged.digest, signed))
+        bridge._collect_responses(world.tick)
+        assert real.collected == {}
+        assert forged.collected == {known: b"\x01" * 64}
 
 
 class TestByzantine:
-    def test_flood_is_rate_limited(self):
+    def test_flood_is_rate_limited(self, monkeypatch):
         config = ScenarioConfig(
             rate_budget=25, rate_window_ticks=10_000,
             workload=[{"tick": 2, "action": "bridge_flood", "count": 300}],
             max_ticks=150)
-        world, report = run(config)
+        world = World(config)
+        admitted = Counter()
         for s in world.signatories:
-            assert s.handled <= 25
+            def admit(tick, s=s, limited=s.rate_limiter.admit):
+                ok = limited(tick)
+                admitted[s.signatory_id] += ok
+                return ok
+            monkeypatch.setattr(s.rate_limiter, "admit", admit)
+        report = world.run()
+        assert admitted and max(admitted.values()) <= 25
         assert report.classification == "low"
 
     def test_forged_transfer_collects_no_signatures(self):

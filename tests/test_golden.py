@@ -52,6 +52,8 @@ GOLDEN = {
         "368d2658cfb2c5ed8dfe7cf1675dfad3cd9e457c54b38762fecefc8dc44f7bd4",
     "dest_drop_at_finality":
         "c0c3f2007fcbec0998ff4304f9becb1a92ed2398ef5e485eae56c419b57439a7",
+    "forge_shared_id":
+        "f704ea3c15affdb2d0f70b6922fc2142f2992ff0e33e6bbab08734ef98475e2b",
 }
 
 SUITE_GOLDEN = {
@@ -124,6 +126,15 @@ def test_dest_drop_at_finality_file():
     path = Path(__file__).parents[1] / "scenarios" / "dest_drop_at_finality.json"
     config = ScenarioConfig.from_json(path.read_text())
     assert digest(config) == GOLDEN["dest_drop_at_finality"]
+
+
+def test_forge_shared_id_file():
+    # a colluding quorum signs a forged transfer that shares real id 1; each
+    # signature lands in the job whose digest it signs, so ids 0, 1 and 2
+    # arrive and the forged id 1 stalls OutOfOrder
+    path = Path(__file__).parents[1] / "scenarios" / "forge_shared_id.json"
+    config = ScenarioConfig.from_json(path.read_text())
+    assert digest(config) == GOLDEN["forge_shared_id"]
 
 
 @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)

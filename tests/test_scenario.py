@@ -67,8 +67,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(quorum_size=4)  # only 3 signatories
         with pytest.raises(ConfigError):
-            ScenarioConfig(reorg_response="panic")
-        with pytest.raises(ConfigError):
             ScenarioConfig(workload=[{"tick": 5000, "action": "pause"}])
         with pytest.raises(ConfigError):
             ScenarioConfig(workload=[{"tick": 1}])
@@ -583,6 +581,7 @@ class TestCli:
             {"max_ticks": "x"}, {"sign_timeout_ticks": "x"}, {"seed": -1},
             {"rate_window_ticks": 0},
             {"censor_transfer_id": "x"}, {"monitor_auto_pause": 1},
+            {"reorg_response": "continue"},  # not a scenario field
             {"workload": [[1]]}, {"authorized_senders": [1]},
             # gas and transfer ids outside their 64-bit fields
             {"workload": [dict(request, gas=-5)]},

@@ -261,10 +261,17 @@ class TestRateLimiting:
         assert admitted == [True, True, True, False, False]
         assert rl.admit(10)  # new window
 
-    def test_flooded_signatory_stops_responding(self):
+    def test_flooded_signatory_stops_responding(self, monkeypatch):
         chain, tx_hash = build_source()
         req = build_request(chain, tx_hash)
         s = make_signatory(chain, rate_budget=5, rate_window_ticks=1000)
+        admitted = []
+
+        def admit(tick, limited=s.rate_limiter.admit):
+            admitted.append(limited(tick))
+            return admitted[-1]
+
+        monkeypatch.setattr(s.rate_limiter, "admit", admit)
         responses = [s.handle_sign_request(req, tick=10) for _ in range(20)]
         assert sum(r is not None for r in responses) == 5
-        assert s.handled == 5
+        assert admitted.count(True) == 5
