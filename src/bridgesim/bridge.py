@@ -3,10 +3,13 @@
 The bridge is a single logical actor advanced once per scheduler tick. It
 posts each signatory the `SigningRequest` object itself and reads
 `(transfer_id, digest, SignResponse)` triples from `inbox`, ``digest`` being
-the request's. All job-state transitions are appended to a journal by
-`_write_journal` alone, which writes the job's record through to the store,
-so a bridge can be killed at any transition point and rebuilt with
-`BridgeNode.restore` without ever double-delivering a transfer.
+the request's; a refusal carries no signature and counts for nothing. A job
+asks for signatures at its source view's ``finality_depth`` confirmations
+and is done at its dest view's. While paused, the bridge files the answers
+it receives and moves no job. All job-state transitions are appended to a
+journal by `_write_journal` alone, which writes the job's record through to
+the store, so a bridge can be killed at any transition point and rebuilt
+with `BridgeNode.restore` without ever double-delivering a transfer.
 
 `jobs` maps each transfer id to its real job and is the only table that
 holds real job objects; `moving` and `queued` hold transfer ids. Each job
@@ -90,8 +93,6 @@ class BridgeConfig:
     signatory_ids: list[str]
     signatory_keys: list[bytes]
     quorum_size: int
-    source_finality: int
-    dest_finality: int
     sign_timeout_ticks: int
     max_retries: int
     liveness_timeout_ticks: int
@@ -107,7 +108,6 @@ class TransferJob:
     source_block: Block | None = None
     digest: bytes = b""
     request_tick: int = -1
-    transient_refusal: bool = False
     submitted_payload: bytes = b""
     submitted_tx: bytes = b""
     processed_block: int | None = None
@@ -324,10 +324,7 @@ class BridgeNode:
         st = self.status[name]
         prev = st.last_seen_head
         head = view.get_block(view.head_number())
-        # blocks are compared as objects first, so a hash is read only when
-        # they differ: the head's hash is not read in the tick it is sealed
-        if head is prev or (head.number == prev.number
-                            and head.block_hash == prev.block_hash):
+        if head is prev:
             st.ticks_since_new_block += 1
             if st.ticks_since_new_block == self.config.liveness_timeout_ticks:
                 self.alarms.append(("liveness", name, tick))
@@ -345,7 +342,9 @@ class BridgeNode:
         self.monitor_chain_status("source", self.source_view, tick)
         self.monitor_chain_status("dest", self.dest_view, tick)
         if self.paused:
-            self.inbox.clear()
+            # file the answers to requests sent before the pause, so that a
+            # resumed job is not timed out, and drop the rest as ever
+            self._collect_responses(tick)
             return
         self._scan_source(tick)
         self._scan_dest(tick)
@@ -437,13 +436,10 @@ class BridgeNode:
                     break
             else:
                 continue  # no job awaits signatures over this digest
-            if resp.kind == "refused":
-                if resp.reason == "InsufficientFinality":
-                    job.transient_refusal = True
-                continue
             pub, sig = resp.public_key, resp.signature
             # cursory checks only: length and known key (the bridge cannot
-            # fully validate signature schemes it does not understand)
+            # fully validate signature schemes it does not understand); a
+            # refusal carries no signature, so the length check drops it
             if len(sig) != SIGNATURE_LEN or pub not in self.config.signatory_keys:
                 continue
             job.collected[pub] = sig
@@ -456,7 +452,7 @@ class BridgeNode:
         elif job.state == "submitting":
             self._advance_submitting(job, tick, blocked)
         elif job.state == "awaitingDestFinality":
-            self._advance_dest_finality(job, tick)
+            self._advance_processed(job, tick)
 
     def _advance_finality(self, job: TransferJob, tick: int) -> None:
         if job.forged:
@@ -468,7 +464,7 @@ class BridgeNode:
             job.stall_reason = "sourceOrphaned"
             self._transition(tick, job, "stalled", "request left canonical chain")
             return
-        if conf >= self.config.source_finality:
+        if conf >= self.source_view.finality_depth:
             self._begin_collecting(job, tick)
 
     def _begin_collecting(self, job: TransferJob, tick: int) -> None:
@@ -487,7 +483,6 @@ class BridgeNode:
             transfer=job.transfer,
         )
         job.request_tick = tick
-        job.transient_refusal = False
         for sid in self.config.signatory_ids:
             self.post(sid, req)
 
@@ -500,9 +495,6 @@ class BridgeNode:
             self._broadcast_request(job, tick)
             return
         if tick - job.request_tick >= self.config.sign_timeout_ticks:
-            if job.transient_refusal:
-                self._broadcast_request(job, tick)
-                return
             job.attempts += 1
             if job.attempts > self.config.max_retries:
                 job.stall_reason = "signatureTimeout"
@@ -567,11 +559,11 @@ class BridgeNode:
         self.dest_chain.submit_transaction(tx)
         return tx.tx_hash
 
-    def _advance_dest_finality(self, job: TransferJob, tick: int) -> None:
+    def _advance_processed(self, job: TransferJob, tick: int) -> None:
         """``done`` at dest finality, or back to ``submitting`` if a dest
         reorg dropped the tx that emitted ``Processed``."""
         conf = self.dest_view.head_number() - (job.processed_block or 0)
-        if conf < self.config.dest_finality:
+        if conf < self.dest_view.finality_depth:
             return
         if self.dest_view.get_receipt(job.processed_tx) is None:
             job.submitted_tx = b""

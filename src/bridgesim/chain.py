@@ -477,15 +477,17 @@ class ChainView:
 
     Actors are handed views rather than the chain itself; a corrupted view
     models a compromised chain connection for one actor without touching
-    the underlying ledger. A view runs the chain's own reads, `Chain`'s
-    methods bound to the view when it is built, over the blocks it shows:
-    an honest view's ``blocks`` and ``tx_index`` are the chain's, a
-    corrupted view's are `_Shown`. Once the chain has sealed block
-    ``corruption.block_number``, every read shows one forged block
-    (`_forged`) in its place, hiding the real block N, its hash, its events
-    and every tx of it that the forged block does not hold. The view makes
-    one forged block per real block N, so reads see the same object until a
-    reorg replaces block N.
+    the underlying ledger. A view carries the chain's ``network_id``,
+    ``hash_alg`` and ``finality_depth`` (the confirmations that make a block
+    final there), so each actor reads them from its own view. It runs the
+    chain's own reads, `Chain`'s methods bound to the view when it is built,
+    over the blocks it shows: an honest view's ``blocks`` and ``tx_index``
+    are the chain's, a corrupted view's are `_Shown`. Once the chain has
+    sealed block ``corruption.block_number``, every read shows one forged
+    block (`_forged`) in its place, hiding the real block N, its hash, its
+    events and every tx of it that the forged block does not hold. The view
+    makes one forged block per real block N, so reads see the same object
+    until a reorg replaces block N.
     """
 
     def __init__(self, chain: Chain, corruption: ViewCorruption | None = None):
@@ -493,6 +495,7 @@ class ChainView:
         self.corruption = corruption
         self.network_id = chain.config.network_id
         self.hash_alg = chain.config.hash_alg
+        self.finality_depth = chain.config.finality_depth
         self._forgery: tuple[Block, Block] | None = None  # (real, forged)
         if corruption is None:
             self.blocks, self.tx_index = chain.blocks, chain.tx_index

@@ -300,7 +300,7 @@ FIELDS = {  # in checking order: a check may read the fields before it
     "accept_only_authorized": bool, "monitor_auto_pause": bool,
     "authorized_senders": [str],
     "signatory_modes": [BEHAVIOR_MODES, range(1, 1 << 16)],  # U16 key lists
-    "quorum_size": (None, _quorum), "signatory_min_confirmations": (None, U64),
+    "quorum_size": (None, _quorum),
     "censor_transfer_id": (None, U64),
     "expected_config_changes": [_config_change],
     "workload": _workload,
@@ -327,7 +327,6 @@ class ScenarioConfig:
     authorized_senders: list = field(default_factory=list)  # account names
     signatory_modes: list = field(default_factory=lambda: ["honest"] * 3)
     quorum_size: int | None = None
-    signatory_min_confirmations: int | None = None  # default: source finality
     rate_budget: int = 1000
     rate_window_ticks: int = 100
     sign_timeout_ticks: int = 8
@@ -439,9 +438,6 @@ class World:
             chain.register_contract(RejectingContract(
                 contract_address(chain.config.network_id, "rejecting")))
 
-        minconf = config.signatory_min_confirmations
-        if minconf is None:
-            minconf = self.source.config.finality_depth
         self.signatories = [
             Signatory(
                 signatory_id=f"signatory:{i}",
@@ -450,7 +446,6 @@ class World:
                 dest_hash_alg=self.dest.config.hash_alg,
                 source_adapter=self.adapters["source"].address,
                 mode=mode,
-                min_confirmations=minconf,
                 rate_budget=config.rate_budget,
                 rate_window_ticks=config.rate_window_ticks,
             )
@@ -466,8 +461,6 @@ class World:
             signatory_ids=[s.signatory_id for s in self.signatories],
             signatory_keys=[k.public_key for k in self.signatory_keys],
             quorum_size=config.quorum_size,
-            source_finality=self.source.config.finality_depth,
-            dest_finality=self.dest.config.finality_depth,
             sign_timeout_ticks=config.sign_timeout_ticks,
             max_retries=config.max_retries,
             liveness_timeout_ticks=config.liveness_timeout_ticks,

@@ -1,10 +1,10 @@
 """Signatory actor: independent verification and detached signing.
 
 An honest signatory trusts nothing in the request except as a pointer: it
-refetches the block and transaction from its own chain view, reconstructs
-the transfer message from the on-chain event, recomputes the digest, and
-only then signs. Byzantine behavior modes cover the fault-injection
-scenarios.
+refetches the block and transaction from its own chain view, demands that
+view's ``finality_depth`` confirmations, reconstructs the transfer message
+from the on-chain event, recomputes the digest, and only then signs.
+Byzantine behavior modes cover the fault-injection scenarios.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class Signatory:
     def __init__(self, signatory_id: str, keypair: Keypair,
                  chain_view: ChainView, dest_hash_alg: str,
                  source_adapter: bytes, mode: str = "honest",
-                 min_confirmations: int = 0,
                  rate_budget: int = 1000, rate_window_ticks: int = 100):
         if mode not in BEHAVIOR_MODES:
             raise ValueError(f"unknown behavior mode {mode!r}")
@@ -77,7 +76,6 @@ class Signatory:
         self.dest_hash_alg = dest_hash_alg
         self.source_adapter = source_adapter
         self.mode = mode
-        self.min_confirmations = min_confirmations
         self.rate_limiter = RateLimiter(rate_budget, rate_window_ticks)
 
     def handle_sign_request(self, req: SigningRequest,
@@ -105,7 +103,7 @@ class Signatory:
         conf = view.confirmations(req.source_transaction_hash)
         if conf is None:
             return SignResponse.refused("TxNotFound")
-        if conf < self.min_confirmations:
+        if conf < view.finality_depth:
             return SignResponse.refused("InsufficientFinality")
         found = view.get_transaction(req.source_transaction_hash)
         if found is None or found[1] != req.source_block_number:

@@ -12,7 +12,8 @@ import bridgesim.bridge as bridge_module
 from bridgesim import ScenarioConfig, World, contract_address
 from bridgesim.adapter import event_attr
 from bridgesim.bridge import FINAL_STATES, BridgeNode, TransferJob
-from bridgesim.signatory import SignResponse
+from bridgesim.codec import compute_transfer_hash
+from bridgesim.signatory import SignResponse, SigningRequest
 
 
 def transfer_action(i, tick, **kw):
@@ -83,6 +84,41 @@ class TestPipeline:
         assert collect - sealed >= config.source["finality_depth"]
         assert report.classification == "low"
 
+    def test_relay_and_signatory_read_the_source_finality_depth(self):
+        # one threshold, the source chain's: the relay collects at 3
+        # confirmations, and an honest signatory refuses below 3
+        world = World(ScenarioConfig(
+            source={"network_id": "alpha", "finality_depth": 3},
+            workload=[transfer_action(0, 1)]))
+        signatory = world.signatories[0]
+
+        def ask():
+            job = world.bridge.jobs[0]
+            req = SigningRequest(
+                source_block_number=job.source_block.number,
+                source_block_hash=job.source_block.block_hash,
+                source_transaction_hash=job.transfer.source_transaction_hash,
+                transfer_data_hash=compute_transfer_hash(
+                    job.transfer, world.dest.config.hash_alg),
+                transfer=job.transfer)
+            return signatory.handle_sign_request(req, world.tick)
+
+        while 0 not in world.bridge.jobs:
+            world.step()
+        sealed = world.bridge.jobs[0].source_block.number
+        while world.source.head_number() < sealed + 2:
+            assert world.bridge.jobs[0].state == "awaitingFinality"
+            world.step()
+        assert world.bridge.jobs[0].state == "awaitingFinality"
+        resp = ask()
+        assert (resp.kind, resp.reason) == ("refused", "InsufficientFinality")
+        world.step()
+        assert world.source.head_number() == sealed + 3
+        assert world.bridge.jobs[0].state == "collectingSignatures"
+        assert ask().kind == "signed"
+        report = world.run()
+        assert [d[0] for d in report.delivered] == [0]
+
     def test_in_order_delivery(self):
         config = ScenarioConfig(
             workload=[transfer_action(i, 1 + i % 3) for i in range(8)])
@@ -118,6 +154,11 @@ class TestPipeline:
             bridge.inbox.append((0, digest, SignResponse.signed(pub, sig)))
             bridge._collect_responses(world.tick)
             assert bridge.jobs[0].collected == {}
+        # a refusal carries no signature, so the length check drops it
+        bridge.inbox.append((0, digest,
+                             SignResponse.refused("InsufficientFinality")))
+        bridge._collect_responses(world.tick)
+        assert bridge.jobs[0].collected == {}
         signed = SignResponse.signed(known, b"\x01" * 64)
         bridge.inbox.append((0, digest, signed))
         bridge._collect_responses(world.tick)
@@ -130,16 +171,6 @@ class TestPipeline:
         assert world.bridge.journal
         for line in world.bridge.journal:
             assert pattern.match(line), line
-
-    def test_transient_finality_refusals_cost_no_attempts(self):
-        # signatories demand more confirmations than the bridge waits for;
-        # their refusals are transient and must not count against retries
-        config = ScenarioConfig(
-            signatory_min_confirmations=12,
-            workload=[transfer_action(0, 1)])
-        world, report = run(config)
-        assert [d[0] for d in report.delivered] == [0]
-        assert world.bridge.jobs[0].attempts == 0
 
     def test_retries_then_stalls_on_silence(self):
         config = ScenarioConfig(

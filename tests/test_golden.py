@@ -54,6 +54,8 @@ GOLDEN = {
         "c0c3f2007fcbec0998ff4304f9becb1a92ed2398ef5e485eae56c419b57439a7",
     "forge_shared_id":
         "f704ea3c15affdb2d0f70b6922fc2142f2992ff0e33e6bbab08734ef98475e2b",
+    "pause_resume":
+        "5d2e9f3492770c46d5968e709b9297968663d755165cc6ff015f35f550b77bfd",
 }
 
 SUITE_GOLDEN = {
@@ -135,6 +137,15 @@ def test_forge_shared_id_file():
     path = Path(__file__).parents[1] / "scenarios" / "forge_shared_id.json"
     config = ScenarioConfig.from_json(path.read_text())
     assert digest(config) == GOLDEN["forge_shared_id"]
+
+
+def test_pause_resume_file():
+    # the relay is paused from tick 8 to 28, after it asked for signatures
+    # at tick 7; it keeps the answers, so with max_retries 0 the transfer is
+    # delivered when it resumes, not stalled by the sign timeout
+    path = Path(__file__).parents[1] / "scenarios" / "pause_resume.json"
+    config = ScenarioConfig.from_json(path.read_text())
+    assert digest(config) == GOLDEN["pause_resume"]
 
 
 @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)

@@ -165,6 +165,28 @@ class TestOperatorPause:
         assert report_again.to_text() == report.to_text()
         assert again.bridge.journal == world.bridge.journal
 
+    def test_a_paused_relay_keeps_the_answers_it_receives(self):
+        # the relay asks for signatures at tick 7 and is paused at tick 8,
+        # before the answers reach it at tick 9; it files them in the job
+        # without moving it, so at resume the job submits with no sign
+        # timeout and no retry
+        workload = simple_workload(1) + [{"tick": 8, "action": "pause"},
+                                         {"tick": 28, "action": "resume"}]
+        world = World(ScenarioConfig(workload=workload, max_retries=0))
+        paused = []
+
+        def on_tick(w, tick):
+            if 9 <= tick < 28:
+                job = w.bridge.jobs[0]
+                paused.append((job.state, len(job.collected), w.bridge.inbox))
+
+        report = world.run(on_tick)
+        assert paused and all(
+            p == ("collectingSignatures", 3, []) for p in paused)
+        assert [d[0] for d in report.delivered] == [0]
+        assert report.stalls == [] and report.classification == "low"
+        assert world.bridge.jobs[0].attempts == 0
+
 
 class TestWork:
     def test_source_transactions_hashed_once(self, monkeypatch):
@@ -582,6 +604,7 @@ class TestCli:
             {"rate_window_ticks": 0},
             {"censor_transfer_id": "x"}, {"monitor_auto_pause": 1},
             {"reorg_response": "continue"},  # not a scenario field
+            {"signatory_min_confirmations": None},  # not one either
             {"workload": [[1]]}, {"authorized_senders": [1]},
             # gas and transfer ids outside their 64-bit fields
             {"workload": [dict(request, gas=-5)]},

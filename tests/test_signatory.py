@@ -28,7 +28,7 @@ STORE = blake2b256(b"contract:dest-store")
 KP = keygen(b"\x21" * 32)
 RELAYER = keygen(b"\x22" * 32)
 DEST_ALG = "blake2b256"
-MINCONF = 6
+MINCONF = 6  # the default ChainConfig.finality_depth, which signatories demand
 
 
 def build_source() -> tuple[Chain, bytes]:
@@ -67,8 +67,7 @@ def make_signatory(chain: Chain, mode="honest", corruption=None,
     return Signatory(
         signatory_id="signatory:0", keypair=KP,
         chain_view=ChainView(chain, corruption),
-        dest_hash_alg=DEST_ALG, source_adapter=ADAPTER, mode=mode,
-        min_confirmations=MINCONF, **kwargs)
+        dest_hash_alg=DEST_ALG, source_adapter=ADAPTER, mode=mode, **kwargs)
 
 
 class TestHonest:
