@@ -6,10 +6,10 @@ posts each signatory the `SigningRequest` object itself and reads
 the request's; a refusal carries no signature and counts for nothing. A job
 asks for signatures at its source view's ``finality_depth`` confirmations
 and is done at its dest view's. While paused, the bridge files the answers
-it receives and moves no job. All job-state transitions are appended to a
-journal by `_write_journal` alone, which writes the job's record through to
-the store, so a bridge can be killed at any transition point and rebuilt
-with `BridgeNode.restore` without ever double-delivering a transfer.
+it receives and moves no job. Every journal line is appended by
+`_transition` alone, which writes the job's record through to the store, so
+a bridge can be killed at any transition point and rebuilt with
+`BridgeNode.restore` without ever double-delivering a transfer.
 
 `jobs` maps each transfer id to its real job and is the only table that
 holds real job objects; `moving` and `queued` hold transfer ids. Each job
@@ -20,9 +20,12 @@ One rule holds a job back, as the destination adapter's nonce check would
 revert it otherwise: the ``blocked`` flag of `BridgeNode.step`'s pass in id
 order, set once an earlier id is still in progress (`IN_PROGRESS`) or awaits
 dest finality while its `Processed` tx is off the dest chain. A blocked job
-does not submit, and an `OutOfOrder` revert costs it no attempt. Real jobs
-that are neither `done` nor `stalled` are split in two id sets, kept by
-`BridgeNode._track` once `restore` has filled them:
+does not submit. Every dest revert is retried one way: it costs an attempt
+unless it is an `OutOfOrder` revert of a blocked job, past ``max_retries``
+attempts the job stalls ``destinationRejected:<reason>``, and otherwise it
+resends the identical `submitted_payload`. Real jobs that are neither `done`
+nor `stalled` are split in two id sets, kept by `BridgeNode._track` once
+`restore` has filled them:
 
 - `queued` holds the parked jobs: in `submitting`, with no tx out and not
   the censored id. Each waits for every earlier id, and the lowest queued id
@@ -206,14 +209,10 @@ class BridgeNode:
     # -- journal / persistence ----------------------------------------------
 
     def _transition(self, tick: int, job: TransferJob, to_state: str,
-                    detail: str = "") -> None:
+                    detail: str) -> None:
+        """The journal's only writer: move ``job``, log it, store it."""
         from_state, job.state = job.state, to_state
         self._track(job)
-        self._write_journal(tick, job, from_state, to_state, detail)
-
-    def _write_journal(self, tick: int, job: TransferJob, from_state: str,
-                       to_state: str, detail: str) -> None:
-        """Append one journal line and write ``job`` through to the store."""
         self.journal.append(
             f"{tick} | {job.transfer_id} | {from_state} -> {to_state} | {detail}")
         self._persist(job)
@@ -523,14 +522,7 @@ class BridgeNode:
                 job.stall_reason = f"destinationRejected:{receipt.reason}"
                 self._transition(tick, job, "stalled", receipt.reason)
                 return
-            if receipt.reason == "InvalidSignature":
-                job.collected.clear()
-                job.request_tick = -1  # so the record written next holds none
-                self._transition(tick, job, "collectingSignatures",
-                                 "re-collecting after InvalidSignature")
-                self._broadcast_request(job, tick)
-                return
-            # other rejections: retry the identical signed payload
+            # every revert: retry the identical signed payload
         if self.inflight is not None and self.inflight is not job:
             return  # strictly one in-flight destination submission
         if blocked:
@@ -543,10 +535,9 @@ class BridgeNode:
             job.submitted_payload = encode_process_transfer(
                 job.transfer, entries)
         job.submitted_tx = self._send(job.submitted_payload)
-        self._track(job)
         self.inflight = job
-        self._write_journal(tick, job, "submitting", "submitting",
-                            f"tx {job.submitted_tx.hex()[:16]}")
+        self._transition(tick, job, "submitting",
+                         f"tx {job.submitted_tx.hex()[:16]}")
 
     def _send(self, payload: bytes) -> bytes:
         """Send ``payload`` to the dest adapter as the relayer; the tx hash."""
@@ -576,22 +567,21 @@ class BridgeNode:
     # -- byzantine behaviors -------------------------------------------------
 
     def byzantine_replay(self, transfer_id: int, tick: int) -> None:
-        """Resubmit a completed job's signed transaction verbatim."""
+        """Resubmit a job's signed transaction verbatim, in its state."""
         job = self.jobs.get(transfer_id)
         if job is None or not job.submitted_payload:
             return
         tx_hash = self._send(job.submitted_payload)
-        self._write_journal(tick, job, "done", "done",
-                            f"replayed tx {tx_hash.hex()[:16]}")
+        self._transition(tick, job, job.state,
+                         f"replayed tx {tx_hash.hex()[:16]}")
 
     def byzantine_forge(self, m: TransferMessage, tick: int,
                         claimed_block: Block) -> None:
         """Fabricate a transfer that never occurred on the source chain."""
         job = TransferJob(transfer=m, forged=True, source_block=claimed_block,
-                          state="awaitingFinality")
+                          state="forged")
         self.forged_jobs.append(job)
-        self._write_journal(tick, job, "forged", "awaitingFinality",
-                            "fabricated transfer")
+        self._transition(tick, job, "awaitingFinality", "fabricated transfer")
 
     def byzantine_flood(self, count: int, tick: int) -> None:
         """Send a burst of junk signing requests to every signatory."""

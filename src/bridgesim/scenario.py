@@ -165,12 +165,6 @@ def _quorum(v, cfg):
     return _error(range(1, len(cfg.signatory_modes) + 1), v, cfg)
 
 
-def _flood_count(v, cfg):
-    """an integer in [0, 10001); count * signatories at most 100000"""
-    if _error(range(10_001), v, cfg) or v * len(cfg.signatory_modes) > 10**5:
-        return f" must be {_flood_count.__doc__}, not {_brief(v)}"
-
-
 def _network_id(v, cfg):
     """a non-empty string of at most 65535 UTF-8 bytes"""
     if type(v) is not str or not v or len(v.encode()) > 65535:
@@ -217,13 +211,23 @@ def _dropped(v, cfg):
 
 def _workload(v, cfg):
     """a list of actions at ticks up to max_ticks; a reorg drops only the
-    labels of earlier request_transfer actions and relay txs"""
+    labels of earlier request_transfer actions and relay txs; the
+    bridge_flood actions of one tick post at most 100000 requests"""
     if err := _error([ACTIONS], v, cfg):
         return err
     labels = {}  # label -> (tick, index) of its first request_transfer
+    floods = {}  # tick -> requests its bridge_flood actions post so far
+    signers = len(cfg.signatory_modes)
     for i, a in enumerate(v):
-        if a["tick"] > cfg.max_ticks:
-            return f"[{i}].tick must be at most max_ticks, not {a['tick']}"
+        t = a["tick"]
+        if t > cfg.max_ticks:
+            return f"[{i}].tick must be at most max_ticks, not {t}"
+        if a["action"] == "bridge_flood":
+            floods[t] = floods.get(t, 0) + a["count"] * signers
+            if floods[t] > 10**5:
+                return (f"[{i}].count brings the bridge_flood requests of "
+                        f"tick {t} to {floods[t]} (count * signatories), "
+                        "more than 100000")
         if "label" in a:
             if RELAY_TX.fullmatch(a["label"]):
                 return f"[{i}].label {a['label']!r} names a relay tx"
@@ -281,9 +285,10 @@ ACTIONS = Pick("action", {
     "pause": _action(), "resume": _action(), "bridge_restart": _action(),
     "bridge_replay": _action(transfer_id=(U64, ...)),
     "bridge_forge": _action(**FORGED),
-    # posted to each signatory in one tick: 10,000 with 3 signatories peaks
-    # at 2.3 MB (tracemalloc), where 10**8 would ask for about 23 GB
-    "bridge_flood": _action(count=(_flood_count, ...)),
+    # posted to each signatory in one tick, and `_workload` bounds a tick's
+    # total: 10,000 with 3 signatories peaks at 2.3 MB (tracemalloc), where
+    # 10**8 would ask for about 23 GB
+    "bridge_flood": _action(count=(range(10_001), ...)),
     "direct_process_transfer": _action(  # caller "relayer": the relay's key
         **FORGED, attacker_signers=([range(ATTACKERS), U16], (0, 1)),
         caller=(str, "attacker")),

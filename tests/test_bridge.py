@@ -184,16 +184,26 @@ class TestPipeline:
         assert job.attempts == 3  # initial broadcast plus two retries
         assert report.classification == "medium"
 
-    def test_invalid_signature_triggers_fresh_collection(self):
+    def test_invalid_signature_resends_the_same_bundle(self):
+        # an InvalidSignature revert is retried like any other: the job
+        # does not collect again, and every resend is the bundle it built
         config = ScenarioConfig(
             signatory_modes=["wrongSignature"] * 3,
             workload=[transfer_action(0, 1)])
         world, _ = run(config)
-        assert world.bridge.jobs[0].stall_reason == \
-            "destinationRejected:InvalidSignature"
-        recollections = [l for l in world.bridge.journal
-                         if "re-collecting after InvalidSignature" in l]
-        assert len(recollections) >= 1
+        lines = [l for l in world.bridge.journal if l.split(" | ")[1] == "0"]
+        first = next(i for i, l in enumerate(lines) if "-> submitting" in l)
+        assert not any("collectingSignatures" in l for l in lines[first + 1:])
+        relayer = world.bridge.config.relayer.public_key
+        payloads = [tx.payload
+                    for n in range(world.dest.head_number() + 1)
+                    for tx in world.dest.get_block(n).transactions
+                    if tx.sender == relayer]
+        job = world.bridge.jobs[0]
+        assert len(payloads) == config.max_retries + 1
+        assert set(payloads) == {job.submitted_payload}
+        assert job.stall_reason == "destinationRejected:InvalidSignature"
+        assert job.attempts == config.max_retries + 1
 
     def test_censored_id_stalls_while_blocked(self):
         # id 3 reaches submitting behind ids 0-2, which are still in progress
@@ -397,9 +407,8 @@ class TestCrashRecovery:
             world.step()
 
     def test_collecting_record_holds_no_request_tick(self):
-        # every wrongSignature bundle reverts InvalidSignature, so the job
-        # goes back to collecting; its record keeps no request out, so a
-        # restore of it rebroadcasts
+        # a collecting job's record keeps no request out, so a restore of it
+        # rebroadcasts
         collecting = Counter()
 
         def check(world, tick):
@@ -413,7 +422,7 @@ class TestCrashRecovery:
             signatory_modes=["wrongSignature"] * 3,
             workload=[transfer_action(0, 1)]), on_tick=check)
         assert report.stalls == [[0, "destinationRejected:InvalidSignature"]]
-        assert collecting[0] and collecting[1]  # first collect, and re-collect
+        assert collecting[0]
 
     def test_replay_after_restart_sends_the_payload(self):
         world, _ = run(ScenarioConfig(
@@ -426,6 +435,26 @@ class TestCrashRecovery:
             [job.submitted_payload]
         assert world.bridge.journal[-1].startswith(
             f"{world.tick + 1} | 1 | done -> done | replayed tx ")
+
+    def test_replay_journals_the_jobs_own_state(self):
+        world = World(ScenarioConfig(workload=[transfer_action(0, 1)]))
+        while not (0 in world.bridge.jobs and
+                   world.bridge.jobs[0].state == "awaitingDestFinality"):
+            world.step()
+
+        def replay(state):
+            job = world.bridge.jobs[0]
+            assert job.state == state
+            world.bridge.byzantine_replay(0, world.tick)
+            assert world.bridge.journal[-1].startswith(
+                f"{world.tick} | 0 | {state} -> {state} | replayed tx ")
+            assert world.bridge.persisted.records[0] == \
+                bridge_module._freeze(job)
+
+        replay("awaitingDestFinality")
+        report = world.run()
+        assert [d[0] for d in report.delivered] == [0]
+        replay("done")
 
     def test_restore_of_a_settled_store_persists_the_same_bytes(self):
         world = World(ScenarioConfig(

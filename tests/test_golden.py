@@ -74,7 +74,7 @@ SUITE_GOLDEN = {
     "bridge_forge":
         "de3e71e5d8455725875ebadec11c7d2084fc41d8a7f515238e1c816b4024db07",
     "bridge_submit_invalid":
-        "fe5a02d9b12767e84fc0deac0e6df6c82ccf39a360ebdde0af31d9cec8c948e2",
+        "7cd0e91e7351cd924d474340de91468a5fecdf27232960029da25f62823a7b02",
     "bridge_censor":
         "61ff7979b31fc3371742c935216ba6f48aa0ff6cf7df94c22fa880967262e454",
     "bridge_replay":
@@ -84,7 +84,7 @@ SUITE_GOLDEN = {
     "signatories_refuse":
         "62ceed721925c1c7d31d321214704ecf906f76f4b27bfb5847ebd23233184843",
     "signatories_wrong_signature":
-        "fe5a02d9b12767e84fc0deac0e6df6c82ccf39a360ebdde0af31d9cec8c948e2",
+        "7cd0e91e7351cd924d474340de91468a5fecdf27232960029da25f62823a7b02",
     "operator_key_reuse":
         "5c22c2bdadbf7c899b8c38584855ec5920e21745c9442cc2159967101a680fff",
     "bridge_and_signatories":

@@ -670,6 +670,9 @@ class TestCli:
             {"signatory_modes": ["honest"] * 11,
              "workload": [{"tick": 1, "action": "bridge_flood",
                            "count": 10_000}]},
+            # five floods of 10,000 in one tick to 3 signatories: 150,000
+            {"workload": [{"tick": 2, "action": "bridge_flood",
+                           "count": 10_000}] * 5},
             # more signatories than the adapter's U16 key list holds
             {"signatory_modes": ["honest"] * (1 << 16)},
             # a network id of 80,000 UTF-8 bytes behind a U16 length, and
