@@ -11,6 +11,10 @@ it receives and moves no job. Every journal line is appended by
 a bridge can be killed at any transition point and rebuilt with
 `BridgeNode.restore` without ever double-delivering a transfer.
 
+`STATES` is the relay's one statement of its legal moves, one row per
+state: `_advance` runs a row's step, `_transition` refuses a move that no
+row lists, and `restore` a record in a state that no job rests in.
+
 `jobs` maps each transfer id to its real job and is the only table that
 holds real job objects; `moving` and `queued` hold transfer ids. Each job
 keeps one source block, `source_block`: the block that holds its request, or
@@ -18,14 +22,14 @@ the one a forged job claims.
 
 One rule holds a job back, as the destination adapter's nonce check would
 revert it otherwise: the ``blocked`` flag of `BridgeNode.step`'s pass in id
-order, set once an earlier id is still in progress (`IN_PROGRESS`) or awaits
-dest finality while its `Processed` tx is off the dest chain. A blocked job
-does not submit. Every dest revert is retried one way: it costs an attempt
-unless it is an `OutOfOrder` revert of a blocked job, past ``max_retries``
-attempts the job stalls ``destinationRejected:<reason>``, and otherwise it
-resends the identical `submitted_payload`. Real jobs that are neither `done`
-nor `stalled` are split in two id sets, kept by `BridgeNode._track` once
-`restore` has filled them:
+order, set once an earlier id is in a state whose row holds back later ids
+or awaits dest finality while its `Processed` tx is off the dest chain. A
+blocked job does not submit. Every dest revert is retried one way: it costs
+an attempt unless it is an `OutOfOrder` revert of a blocked job, past
+``max_retries`` attempts the job stalls ``destinationRejected:<reason>``,
+and otherwise it resends the identical `submitted_payload`. Real jobs that
+are neither `done` nor `stalled` are split in two id sets, kept by
+`BridgeNode._track` once `restore` has filled them:
 
 - `queued` holds the parked jobs: in `submitting`, with no tx out and not
   the censored id. Each waits for every earlier id, and the lowest queued id
@@ -82,10 +86,39 @@ from .codec import (
 )
 from .signatory import SigningRequest
 
-JOB_STATES = ("detected", "awaitingFinality", "collectingSignatures",
-              "submitting", "awaitingDestFinality", "done", "stalled")
-FINAL_STATES = ("done", "stalled")
-IN_PROGRESS = JOB_STATES[:4]  # holds back the submission of every later id
+
+class _State(NamedTuple):
+    """A row of `STATES`; a state that a job rests in is final or has a step."""
+
+    moves: tuple[str, ...]  # the states a job in this one may move to
+    holds_back: bool = False  # a job here holds back every later id
+    final: bool = False
+    step: str = ""  # the BridgeNode method that advances a job here
+
+
+# A job starts in an entry row, `detected` or `forged`, and leaves it in the
+# same call, so no job rests there. The self-loops but `submitting`'s are
+# `byzantine_replay`'s alone.
+STATES = {
+    "detected": _State(("awaitingFinality",)),
+    "forged": _State(("awaitingFinality",)),
+    "awaitingFinality": _State(("collectingSignatures", "stalled"),
+                               holds_back=True, step="_advance_finality"),
+    "collectingSignatures": _State(("submitting", "stalled"), holds_back=True,
+                                   step="_advance_collecting"),
+    "submitting": _State(
+        ("submitting", "awaitingDestFinality", "done", "stalled"),
+        holds_back=True, step="_advance_submitting"),
+    "awaitingDestFinality": _State(
+        ("submitting", "done", "awaitingDestFinality"),
+        step="_advance_processed"),
+    "done": _State(("done",), final=True),
+    "stalled": _State(("stalled",), final=True),
+}
+MOVES = frozenset((a, b) for a, row in STATES.items() for b in row.moves)
+RESTING = frozenset(s for s, row in STATES.items() if row.step or row.final)
+FINAL_STATES = frozenset(s for s, row in STATES.items() if row.final)
+IN_PROGRESS = frozenset(s for s, row in STATES.items() if row.holds_back)
 
 
 @dataclass
@@ -210,7 +243,11 @@ class BridgeNode:
 
     def _transition(self, tick: int, job: TransferJob, to_state: str,
                     detail: str) -> None:
-        """The journal's only writer: move ``job``, log it, store it."""
+        """The journal's only writer: move ``job``, log it, store it. A move
+        that `STATES` does not list raises."""
+        if (job.state, to_state) not in MOVES:
+            raise RuntimeError(f"transfer {job.transfer_id}: {job.state} -> "
+                               f"{to_state} is not a move in STATES")
         from_state, job.state = job.state, to_state
         self._track(job)
         self.journal.append(
@@ -285,7 +322,10 @@ class BridgeNode:
                 acting.append(node.jobs[tid])
         node._heads = list(node.queued)
         heapify(node._heads)
-        for job in acting + node.forged_jobs:
+        for job in acting + node.forged_jobs:  # any record at no rest is here
+            if job.state not in RESTING:
+                raise ValueError(f"transfer {job.transfer_id}: a record in "
+                                 f"{job.state!r}, which no job rests in")
             if job.state == "submitting" and job.submitted_tx:
                 # the submitted tx may or may not have landed; resubmit
                 job.submitted_tx = b""
@@ -444,16 +484,13 @@ class BridgeNode:
             job.collected[pub] = sig
 
     def _advance(self, job: TransferJob, tick: int, blocked=False) -> None:
-        if job.state == "awaitingFinality":
-            self._advance_finality(job, tick)
-        elif job.state == "collectingSignatures":
-            self._advance_collecting(job, tick)
-        elif job.state == "submitting":
-            self._advance_submitting(job, tick, blocked)
-        elif job.state == "awaitingDestFinality":
-            self._advance_processed(job, tick)
+        """Run the step of ``job``'s row in `STATES`; a final job has none."""
+        step = STATES[job.state].step
+        if step:
+            getattr(self, step)(job, tick, blocked)
 
-    def _advance_finality(self, job: TransferJob, tick: int) -> None:
+    def _advance_finality(self, job: TransferJob, tick: int,
+                          blocked: bool) -> None:
         if job.forged:
             self._begin_collecting(job, tick)
             return
@@ -485,7 +522,8 @@ class BridgeNode:
         for sid in self.config.signatory_ids:
             self.post(sid, req)
 
-    def _advance_collecting(self, job: TransferJob, tick: int) -> None:
+    def _advance_collecting(self, job: TransferJob, tick: int,
+                            blocked: bool) -> None:
         if len(job.collected) >= self.config.quorum_size:
             self._transition(tick, job, "submitting",
                              f"{len(job.collected)} signatures")
@@ -550,7 +588,8 @@ class BridgeNode:
         self.dest_chain.submit_transaction(tx)
         return tx.tx_hash
 
-    def _advance_processed(self, job: TransferJob, tick: int) -> None:
+    def _advance_processed(self, job: TransferJob, tick: int,
+                           blocked: bool) -> None:
         """``done`` at dest finality, or back to ``submitting`` if a dest
         reorg dropped the tx that emitted ``Processed``."""
         conf = self.dest_view.head_number() - (job.processed_block or 0)

@@ -8,6 +8,8 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import bridgesim.bridge as bridge_module
 from bridgesim import ScenarioConfig, World, contract_address
 from bridgesim.adapter import event_attr
@@ -236,6 +238,23 @@ class TestPipeline:
         world, report = run(config)
         assert world.bridge.jobs[0].stall_reason == "censored"
         assert report.delivered == []
+
+    def test_substituted_source_hash_in_the_relay_view_is_refused(self):
+        # the relay's source view shows the request's block 2 under a fake
+        # hash: each honest signatory, on the real chain, refuses a request
+        # that names it, so the job times out and nothing is delivered
+        config = ScenarioConfig(workload=[
+            {"tick": 1, "action": "faulty_view", "target": "bridge",
+             "chain": "source",
+             "corruption": {"kind": "substitute_block_hash",
+                            "block_number": 2}},
+            transfer_action(0, 2)])
+        _, report = run(config)
+        assert report.classification == "medium"
+        assert report.delivered == []
+        assert report.stalls == [[0, "signatureTimeout"]]
+        assert report.violations == []
+        assert report.end_tick == 101
 
 
 class TestChainMonitoring:
@@ -934,3 +953,64 @@ class TestByzantine:
         assert len(processed) == 1
         assert len(already) == 1
         assert report.violations == []
+
+
+SHIPPED = sorted(
+    [*(Path(__file__).parents[1] / "scenarios").glob("*.json"),
+     *(Path(bridge_module.__file__).parent / "threats").glob("*.json")])
+
+# the table's moves that no shipped file makes, each with why; once a file
+# makes one, the ratchet test fails until its entry is dropped
+UNMADE_MOVES = {
+    ("submitting", "done"):
+        "AlreadyProcessed meets only a resubmission after a restore from a "
+        "stale image; test_stale_image_resubmission_ends_already_processed",
+    ("awaitingDestFinality", "awaitingDestFinality"):
+        "every shipped bridge_replay comes after dest finality; "
+        "test_replay_journals_the_jobs_own_state replays earlier",
+    ("stalled", "stalled"):
+        "no shipped input replays a stalled job",
+}
+
+
+def collecting(world):
+    """Step ``world`` until its job 0 collects signatures; that job."""
+    while not (0 in world.bridge.jobs and
+               world.bridge.jobs[0].state == "collectingSignatures"):
+        world.step()
+    return world.bridge.jobs[0]
+
+
+class TestTransitionTable:
+    def test_shipped_files_make_only_table_moves(self):
+        made = set()
+        for path in SHIPPED:
+            world, _ = run(ScenarioConfig.from_json(path.read_text()))
+            made.update(tuple(line.split(" | ")[2].split(" -> "))
+                        for line in world.bridge.journal)
+        assert made <= bridge_module.MOVES, made - bridge_module.MOVES
+        assert made.isdisjoint(UNMADE_MOVES), made & UNMADE_MOVES.keys()
+        assert made | UNMADE_MOVES.keys() == bridge_module.MOVES
+
+    def test_illegal_move_raises_and_writes_nothing(self):
+        world = World(ScenarioConfig(workload=[transfer_action(0, 1)]))
+        job = collecting(world)
+        image = world.bridge.persisted
+        with pytest.raises(RuntimeError, match=(
+                "transfer 0: collectingSignatures -> done is not a move")):
+            world.bridge._transition(world.tick, job, "done", "skipped")
+        assert job.state == "collectingSignatures"
+        assert world.bridge.persisted == image
+
+    @pytest.mark.parametrize("state", ["detected", "limbo"])
+    def test_restore_refuses_a_record_in_no_resting_state(self, state):
+        world = World(ScenarioConfig(workload=[transfer_action(0, 1)]))
+        collecting(world)
+        image = world.bridge.persisted
+        record = list(image.records[0])
+        record[bridge_module._STATE] = state
+        image = image._replace(records={0: tuple(record)})
+        with pytest.raises(ValueError, match=f"transfer 0: .*'{state}'"):
+            BridgeNode.restore(image, world.bridge_config,
+                               world.bridge.source_view,
+                               world.bridge.dest_view, world.dest, world.post)
