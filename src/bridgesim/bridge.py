@@ -46,8 +46,9 @@ Every job is found by its transfer id: `_with_id` gives the live real job
 with that id, then the forged jobs with it. A dest event moves those in
 `submitting` that carry its source tx hash; a signing response reaches the
 first of them in `collectingSignatures` whose digest it signs. Forged jobs
-have their own list, visited every step, and skip the hold-back rule. A
-reorg only raises an alarm: each job reacts through its own checks,
+have their own list, visited every step, and skip the hold-back rule. The
+relay keeps delivery state only and raises no alarm; the world's chain
+monitor watches the heads. A job reacts to a reorg through its own checks,
 `sourceOrphaned` at source finality and the canonical-receipt check at dest
 finality.
 
@@ -131,7 +132,6 @@ class BridgeConfig:
     quorum_size: int
     sign_timeout_ticks: int
     max_retries: int
-    liveness_timeout_ticks: int
     censor_transfer_id: int | None
 
 
@@ -178,14 +178,13 @@ def _thaw(record: tuple) -> TransferJob:
 
 class CrashImage(NamedTuple):
     """What a crash leaves of a bridge: its journal so far, each job's latest
-    record, its cursors, alarms and pause flag."""
+    record, its cursors and pause flag."""
 
     journal: tuple[str, ...]
     records: dict[int, tuple]  # real id -> record, in job order
     forged: dict[int, tuple]  # place in forged_jobs -> record
     source_cursor: int
     dest_cursor: int
-    alarms: tuple[tuple, ...]
     paused: bool
 
 
@@ -202,12 +201,6 @@ class _JobTable(UserDict):
         if type(job) is tuple:
             job = self.data[tid] = _thaw(job)
         return job
-
-
-@dataclass
-class ChainStatus:
-    last_seen_head: Block
-    ticks_since_new_block: int = 0
 
 
 class BridgeNode:
@@ -228,13 +221,9 @@ class BridgeNode:
         self.journal: list[str] = []
         self.inbox: list = []
         self.paused = False
-        self.alarms: list[tuple] = []
         self.source_cursor = 0
         self.dest_cursor = 0
         self.inflight: TransferJob | None = None
-        self.status = {
-            name: ChainStatus(view.get_block(view.head_number()))
-            for name, view in (("source", source_view), ("dest", dest_view))}
         # job records, written by _persist alone
         self._records: dict[int, tuple] = {}  # real id -> record, in job order
         self._forged: dict[int, tuple] = {}  # place in forged_jobs -> record
@@ -289,8 +278,7 @@ class BridgeNode:
         and records written so far; later writes do not reach it."""
         return CrashImage(
             tuple(self.journal), dict(self._records), dict(self._forged),
-            self.source_cursor, self.dest_cursor, tuple(self.alarms),
-            self.paused)
+            self.source_cursor, self.dest_cursor, self.paused)
 
     @classmethod
     def restore(cls, image: CrashImage, config: BridgeConfig,
@@ -303,7 +291,7 @@ class BridgeNode:
         for a job whose sent tx is reset here. A collecting job's record
         holds no request tick, so it rebroadcasts on its next step."""
         node = cls(config, source_view, dest_view, dest_chain, post)
-        node.journal, node.alarms = list(image.journal), list(image.alarms)
+        node.journal = list(image.journal)
         node._records, node._forged = dict(image.records), dict(image.forged)
         node.jobs = _JobTable(node._records)
         node.forged_jobs = [_thaw(record) for record in node._forged.values()]
@@ -356,30 +344,9 @@ class BridgeNode:
         return self.paused or not (self.moving or self.queued) and all(
             j.state in FINAL_STATES for j in self.forged_jobs)
 
-    # -- chain status monitoring ---------------------------------------------
-
-    def monitor_chain_status(self, name: str, view: ChainView,
-                             tick: int) -> None:
-        st = self.status[name]
-        prev = st.last_seen_head
-        head = view.get_block(view.head_number())
-        if head is prev:
-            st.ticks_since_new_block += 1
-            if st.ticks_since_new_block == self.config.liveness_timeout_ticks:
-                self.alarms.append(("liveness", name, tick))
-        else:
-            st.ticks_since_new_block = 0
-        # a reorg seals depth + 1 blocks, so block prev.number still exists
-        shown = view.get_block(prev.number)
-        if shown is not prev and shown.block_hash != prev.block_hash:
-            self.alarms.append(("reorg", name, tick))
-        st.last_seen_head = head
-
     # -- main loop -----------------------------------------------------------
 
     def step(self, tick: int) -> None:
-        self.monitor_chain_status("source", self.source_view, tick)
-        self.monitor_chain_status("dest", self.dest_view, tick)
         if self.paused:
             # file the answers to requests sent before the pause, so that a
             # resumed job is not timed out, and drop the rest as ever

@@ -293,9 +293,10 @@ ACTIONS = Pick("action", {
         **FORGED, attacker_signers=([range(ATTACKERS), U16], (0, 1)),
         caller=(str, "attacker")),
 })
-CHAIN_CONFIG = {"network_id": (_network_id, ...), "block_time_ticks": (
-    range(1, 1 << 64), 1), "hash_alg": (tuple(HASH_ALGS), "keccak256"),
-    "finality_depth": (U64, 6)}
+# each default is ChainConfig's own (none: required), so the two cannot drift
+CHAIN_CONFIG = {name: (spec, getattr(ChainConfig, name, ...)) for name, spec in (
+    ("network_id", _network_id), ("block_time_ticks", range(1, 1 << 64)),
+    ("hash_alg", tuple(HASH_ALGS)), ("finality_depth", U64))}
 FIELDS = {  # in checking order: a check may read the fields before it
     **dict.fromkeys(("seed", "max_ticks", "transaction_fee", "rate_budget",
                      "sign_timeout_ticks", "max_retries",
@@ -399,15 +400,17 @@ class World:
         self._requests: list[tuple[str, tuple, str | None]] = []
         self.bus: list[tuple[int, str, object]] = []
         self.inboxes: dict[str, list] = {}
-        self.config_alarm_log: list = []
-        self._monitor_cursor = {"source": 0, "dest": 0}
-        # (chain, field) changes the config monitor does not alarm on
+        self.alarms: list[tuple] = []  # the chain monitor's, in tick order
+        # (chain, field) changes the chain monitor does not alarm on
         self._expected_config_changes = {
             tuple(e) for e in config.expected_config_changes}
 
         self.source = Chain(ChainConfig(**config.source))
         self.dest = Chain(ChainConfig(**config.dest))
         self.chains = {"source": self.source, "dest": self.dest}
+        # chain -> (the head the monitor last saw, ticks since it changed)
+        self._seen = {name: (chain.get_block(0), 0)
+                      for name, chain in self.chains.items()}
 
         seed_bytes = config.seed.to_bytes(8, "big", signed=False)
         self.owner = account_address("owner")
@@ -468,7 +471,6 @@ class World:
             quorum_size=config.quorum_size,
             sign_timeout_ticks=config.sign_timeout_ticks,
             max_retries=config.max_retries,
-            liveness_timeout_ticks=config.liveness_timeout_ticks,
             censor_transfer_id=config.censor_transfer_id,
         )
         self.bridge = BridgeNode(
@@ -483,6 +485,9 @@ class World:
         self.grace = (config.sign_timeout_ticks * (config.max_retries + 2)
                       + self.source.config.finality_depth
                       + self.dest.config.finality_depth + 10)
+        self._alarm_in_every_gap = any(
+            chain.config.block_time_ticks > config.liveness_timeout_ticks
+            for chain in self.chains.values())
 
     # -- scheduler plumbing --------------------------------------------------
 
@@ -509,20 +514,37 @@ class World:
                     self.post("bridge", (req.transfer.source_transfer_id,
                                          req.transfer_data_hash, resp))
 
-    def _run_config_monitor(self) -> None:
+    def _run_monitor(self) -> None:
+        """The chain monitor, once a tick, for each chain: a ``liveness``
+        alarm when the relay's view has shown one head for
+        ``liveness_timeout_ticks`` ticks, a ``reorg`` alarm when the block
+        at the last-seen head's number is no longer that head (by identity,
+        then by hash), and a ``config`` alarm for each `ConfigChanged` event
+        that is not allow-listed in the blocks after that head. The
+        last-seen head is its only cursor. It lives in the world, so a relay
+        restart does not reset it."""
         for name, chain in self.chains.items():
-            head = chain.head_number()
-            start = self._monitor_cursor[name] + 1
-            if head < start:
+            view = getattr(self.bridge, f"{name}_view")
+            prev, quiet = self._seen[name]
+            head = view.get_block(view.head_number())
+            quiet = quiet + 1 if head is prev else 0
+            if head is prev and quiet == self.config.liveness_timeout_ticks:
+                self.alarms.append(("liveness", name, self.tick))
+            # a reorg seals depth + 1 blocks, so block prev.number still exists
+            shown = view.get_block(prev.number)
+            if shown is not prev and shown.block_hash != prev.block_hash:
+                self.alarms.append(("reorg", name, self.tick))
+            self._seen[name] = head, quiet
+            if head.number <= prev.number:
                 continue
-            self._monitor_cursor[name] = head
             for ev in chain.get_events(self.adapters[name].address,
-                                       "ConfigChanged", start, head):
+                                       "ConfigChanged", prev.number + 1,
+                                       head.number):
                 fieldname = event_attr(ev, "field").decode()
                 if (name, fieldname) in self._expected_config_changes:
                     continue
-                self.config_alarm_log.append(
-                    ["config", name, ev.block_number, fieldname])
+                self.alarms.append(
+                    ("config", name, ev.block_number, fieldname))
                 if self.config.monitor_auto_pause:
                     self.bridge.operator_pause()
 
@@ -746,22 +768,24 @@ class World:
                 chain.mine_block(self.tick)
         self._deliver()
         self._run_signatories()
-        self._run_config_monitor()
+        self._run_monitor()
         self.bridge.step(self.tick)
 
     def quiescent(self) -> bool:
-        """Nothing is pending: no workload action, message or tx, and the
-        relay is idle."""
-        if self._workload or self.bus or self.source.pending or self.dest.pending:
+        """Nothing is pending: no workload action, message or tx, no
+        liveness alarm still to come, and the relay is idle. Chains seal on
+        schedule, so the monitor raises a liveness alarm only in the gaps of
+        a chain that seals blocks further apart than the timeout, and then
+        in every gap."""
+        if (self._workload or self.bus or self.source.pending
+                or self.dest.pending or self._alarm_in_every_gap):
             return False
         return not any(self.inboxes.values()) and self.bridge.idle()
 
-    def run(self, on_tick=None) -> ScenarioReport:
+    def run(self) -> ScenarioReport:
         quiet = 0
         while self.tick < self.config.max_ticks:
             self.step()
-            if on_tick is not None:
-                on_tick(self, self.tick)
             quiet = quiet + 1 if self.quiescent() else 0
             if quiet >= self.grace and not self.bridge.paused:
                 break
@@ -799,7 +823,6 @@ class World:
             for v in causality_oracle(self.source, self.dest,
                                       dest_adapter, source_adapter)
         ]
-        alarms = [list(a) for a in self.bridge.alarms] + self.config_alarm_log
         undelivered = [t for t in requested if t not in delivered_ids]
         if violations:
             classification = "high"
@@ -814,10 +837,10 @@ class World:
             delivered=delivered,
             stalls=stalls,
             violations=violations,
-            alarms=alarms,
+            alarms=[list(a) for a in self.alarms],
             classification=classification,
         )
 
 
-def run_scenario(config: ScenarioConfig, on_tick=None) -> ScenarioReport:
-    return World(config).run(on_tick=on_tick)
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    return World(config).run()

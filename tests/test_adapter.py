@@ -372,6 +372,26 @@ class TestAdmin:
         assert json.loads(dump_state(fx.chain))["contracts"] == before
         assert not fx.events("ConfigChanged")
 
+    def test_unknown_admin_field_is_not_encoded(self):
+        with pytest.raises(ConfigError, match="unknown admin field 'owner'"):
+            encode_admin_set("owner", OWNER)
+
+    def test_admin_payload_naming_an_unknown_field_reverts(self):
+        fx = Fixture()
+        before = json.loads(dump_state(fx.chain))["contracts"]
+        _, receipt = fx.submit(OWNER, b"ADMN\x05owner" + ALICE)
+        assert (receipt.status, receipt.reason) == ("reverted", "ConfigError")
+        assert json.loads(dump_state(fx.chain))["contracts"] == before
+        assert not fx.events("ConfigChanged")
+
+    def test_event_attr_of_a_missing_key_raises(self):
+        fx = Fixture()
+        fx.submit(OWNER, encode_admin_set("transactionFee", 99))
+        [ev] = fx.events("ConfigChanged")
+        assert event_attr(ev, "newValue") == (99).to_bytes(8, "big")
+        with pytest.raises(KeyError, match="transferId"):
+            event_attr(ev, "transferId")
+
     def test_constructor_validation(self):
         with pytest.raises(ConfigError):
             AdapterContract(ADAPTER, OWNER, RELAYER.public_key,

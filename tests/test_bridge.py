@@ -27,9 +27,24 @@ def transfer_action(i, tick, **kw):
     return action
 
 
+def watch(world, on_tick):
+    """``world``, its ``step`` made to call ``on_tick(world, tick)`` after
+    each tick."""
+    step = world.step
+
+    def watched():
+        step()
+        on_tick(world, world.tick)
+
+    world.step = watched
+    return world
+
+
 def run(config, on_tick=None):
     world = World(config)
-    report = world.run(on_tick=on_tick)
+    if on_tick is not None:
+        watch(world, on_tick)
+    report = world.run()
     return world, report
 
 
@@ -265,7 +280,7 @@ class TestChainMonitoring:
             liveness_timeout_ticks=20,
             workload=[], max_ticks=120)
         world, report = run(config)
-        kinds = {(a[0], a[1]) for a in world.bridge.alarms}
+        kinds = {(a[0], a[1]) for a in world.alarms}
         assert ("liveness", "dest") in kinds
         assert ("liveness", "source") not in kinds
 
@@ -276,7 +291,7 @@ class TestChainMonitoring:
         world = World(ScenarioConfig(workload=workload))
         while world.tick < ticks:
             world.step()
-        return [a for a in world.bridge.alarms if a[:2] == ("reorg", "dest")]
+        return [a for a in world.alarms if a[:2] == ("reorg", "dest")]
 
     def relay_dest_view(self, tick, kind="substitute_block_hash"):
         """The action that hands the relay a dest view at ``tick``."""
@@ -320,6 +335,18 @@ class TestChainMonitoring:
         assert self.dest_reorg_alarms(workload, self.N + 20) == [
             ("reorg", "dest", self.N)]
 
+    @pytest.mark.parametrize("restart_first", [False, True])
+    def test_a_restart_in_the_reorg_tick_keeps_its_alarm(self, restart_first):
+        # the monitor's last-seen head is the world's, so a relay restored
+        # right after the reorg does not take the new head for the old one
+        actions = [{"tick": self.N, "action": "inject_reorg", "chain": "dest",
+                    "depth": 2},
+                   {"tick": self.N, "action": "bridge_restart"}]
+        if restart_first:
+            actions.reverse()
+        assert self.dest_reorg_alarms(actions, self.N + 20) == [
+            ("reorg", "dest", self.N)]
+
     def test_reorg_that_keeps_the_request_block_alarms_and_delivers(self):
         config = ScenarioConfig(
             workload=[transfer_action(0, 2),
@@ -330,7 +357,7 @@ class TestChainMonitoring:
         # canonical: one alarm, and the transfer is delivered once
         assert [d[0] for d in report.delivered] == [0]
         assert report.classification == "low"
-        assert world.bridge.alarms == [("reorg", "source", 5)]
+        assert world.alarms == [("reorg", "source", 5)]
 
     def test_reorg_continue_stalls_orphaned_job(self):
         config = ScenarioConfig(

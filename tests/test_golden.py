@@ -47,7 +47,7 @@ GOLDEN = {
     "fault_mix":
         "7360e4045a989a74a48cf4a6056ffeed42505211c2ceaa84472057f7d25c09b8",
     "relay_restarts":
-        "9eb7bdd911e61c67e5fb0e3f4ca1139d76b06394627e7c12f68afb5f0c58931b",
+        "7965352a502ec93e4b0b13c290940b5b73ab800743cae9f969e044ac967271e5",
     "dest_drop_relay_tx":
         "368d2658cfb2c5ed8dfe7cf1675dfad3cd9e457c54b38762fecefc8dc44f7bd4",
     "dest_drop_at_finality":
@@ -56,6 +56,8 @@ GOLDEN = {
         "f704ea3c15affdb2d0f70b6922fc2142f2992ff0e33e6bbab08734ef98475e2b",
     "pause_resume":
         "5d2e9f3492770c46d5968e709b9297968663d755165cc6ff015f35f550b77bfd",
+    "stalled_dest":
+        "d12f2a63039fe2488f8f0b78833be6968caa63e5c3cbd41a02f31a21628447e1",
 }
 
 SUITE_GOLDEN = {
@@ -146,6 +148,16 @@ def test_pause_resume_file():
     path = Path(__file__).parents[1] / "scenarios" / "pause_resume.json"
     config = ScenarioConfig.from_json(path.read_text())
     assert digest(config) == GOLDEN["pause_resume"]
+
+
+def test_stalled_dest_file():
+    # the dest chain seals a block every 40 ticks and the liveness timeout is
+    # 20: the monitor raises a dest liveness alarm 20 ticks after each dest
+    # block (and after genesis), the transfer is still delivered, and since
+    # an alarm is always to come the run goes on to max_ticks
+    path = Path(__file__).parents[1] / "scenarios" / "stalled_dest.json"
+    config = ScenarioConfig.from_json(path.read_text())
+    assert digest(config) == GOLDEN["stalled_dest"]
 
 
 @pytest.mark.parametrize("entry", SUITE, ids=lambda e: e.name)

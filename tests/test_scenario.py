@@ -33,6 +33,7 @@ from bridgesim.scenario import (
 )
 from bridgesim.suite import SUITE, THREATS
 
+from test_bridge import watch
 from test_golden import SUITE_GOLDEN
 
 
@@ -147,7 +148,7 @@ class TestOperatorPause:
                         sorted((tid, j.state)
                                for tid, j in w.bridge.jobs.items()))
 
-            report = world.run(on_tick)
+            report = watch(world, on_tick).run()
             return world, report, paused_states
 
         world, report, paused_states = one_run()
@@ -180,7 +181,7 @@ class TestOperatorPause:
                 job = w.bridge.jobs[0]
                 paused.append((job.state, len(job.collected), w.bridge.inbox))
 
-        report = world.run(on_tick)
+        report = watch(world, on_tick).run()
         assert paused and all(
             p == ("collectingSignatures", 3, []) for p in paused)
         assert [d[0] for d in report.delivered] == [0]
@@ -448,6 +449,13 @@ class TestStopRule:
     def test_ticks_past_the_stop_change_nothing(self, path):
         world = World(ScenarioConfig.from_json(path.read_text()))
         report = world.run()
+        if path.name == "stalled_dest.json":
+            # its dest chain seals blocks further apart than the liveness
+            # timeout, so an alarm is always to come and the run never stops
+            assert report.end_tick == world.config.max_ticks
+            assert not world.quiescent()
+            return
+        assert report.end_tick < world.config.max_ticks
         journal = list(world.bridge.journal)
         for _ in range(2 * world.grace):
             world.step()
@@ -495,6 +503,13 @@ class TestQuiescent:
     def test_a_bus_message(self, world):
         world.bus.append((world.tick + 1, "bridge", object()))
         assert not world.quiescent()
+
+    def test_a_chain_slower_than_the_liveness_timeout(self):
+        config = ScenarioConfig(workload=[], liveness_timeout_ticks=20)
+        config.dest["block_time_ticks"] = 20
+        assert World(config).quiescent()
+        config.dest["block_time_ticks"] = 21
+        assert not World(config).quiescent()
 
     @pytest.mark.parametrize("side", ["source", "dest"])
     def test_a_pending_tx(self, world, side):

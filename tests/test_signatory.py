@@ -151,6 +151,25 @@ class TestHonest:
         resp = make_signatory(chain).handle_sign_request(bad, tick=10)
         assert (resp.kind, resp.reason) == ("refused", "TxNotFound")
 
+    def test_refuses_a_final_tx_at_another_block(self):
+        # the request names final block 0 under its real hash, but its tx
+        # sits at block 1; the second view also shows the tx's own request
+        # event at block 0, so only the block-number check refuses there
+        from dataclasses import replace
+        chain, tx_hash = build_source()
+        req = build_request(chain, tx_hash)
+        genesis = chain.get_block(0)
+        bad = replace(req, source_block_number=0,
+                      source_block_hash=genesis.block_hash)
+        [event] = chain.get_events(ADAPTER, "BridgeTransferRequested", 0,
+                                   chain.head_number())
+        moved = ViewCorruption(block_number=0, fake_hash=genesis.block_hash,
+                               fake_event=replace(event, block_number=0))
+        for corruption in (None, moved):
+            resp = make_signatory(chain, corruption=corruption) \
+                .handle_sign_request(bad, tick=10)
+            assert (resp.kind, resp.reason) == ("refused", "TxNotFound")
+
     def test_refuses_orphaned_transaction(self):
         chain, tx_hash = build_source()
         req = build_request(chain, tx_hash)
