@@ -5,9 +5,15 @@ registered contract handlers and their state, and account balances. Every
 block ever produced (including orphaned branches) is kept in `all_blocks`, in
 the order made, which only the harness oracle reads; protocol actors see
 canonical data only, found by block number. A block's hash is computed when
-first needed (`Block.block_hash`); until then a keccak block's header is one
-`keccak.Sponge`, carried whole into its chain's next packed runs, so a chain
-holds at most one unfinished header: the last block made's.
+its `block_hash` or a child's `parent_hash` is first read. Until then a
+keccak block whose parent's hash was known when it sealed keeps its header
+as one `keccak.Sponge`, carried whole into its chain's next packed runs; one
+sealed before its parent's hash was known keeps a link to its parent and the
+rest of its header (`_AwaitingParent`), and the first read hashes it and
+each such ancestor, oldest first (`block_hashes`, which hashes two branches
+of a reorg side by side). A block whose hash no one reads, such as an empty
+block after the last request, is never hashed. A block with events is one
+an actor reads, so the next seal finishes its `Sponge` if riding has not.
 
 State is rolled back by one undo log: every write to `balances`,
 `executed_seq` or a registered contract's `state` (nested maps included)
@@ -23,6 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from .codec import HASH_ALGS, hash_bytes, hash_header, hash_many
+from .keccak import Sponge
 
 ZERO32 = b"\x00" * 32
 _ABSENT = object()  # undo-log prior value of a key that did not exist
@@ -126,29 +133,69 @@ class Receipt:
     reason: str = ""
 
 
+class _AwaitingParent:
+    """A keccak header sealed before its parent's hash was known: the header
+    bytes after the parent hash (tick, salt, tx hashes, event hashes)."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, tail: bytes):
+        self.tail = tail
+
+
+def block_hashes(blocks) -> list[bytes]:
+    """The hash of each of ``blocks``. Each unhashed ancestor a header
+    covers is hashed first, oldest first, in a loop: one packed run per
+    round, holding every header whose parent's hash is known by then. So
+    the two branches of a reorg cost one Keccak-f call per block of the
+    longer, not of both."""
+    waiting, seen = [], set()  # unhashed branches, each newest first
+    for block in blocks:
+        branch = []
+        while type(block.header) is _AwaitingParent and id(block) not in seen:
+            seen.add(id(block))
+            branch.append(block)
+            block = block.parent
+        if type(block.header) is Sponge:  # the branch's root, at W = 1
+            block.__dict__["header"] = block.header()
+        if branch:
+            waiting.append(branch)
+    while waiting:
+        ready = [b.pop() for b in waiting
+                 if type(b[-1].parent.header) is bytes]
+        digests = hash_many("keccak256", [b"".join([
+            b.number.to_bytes(8, "big"), b.parent.header, b.header.tail])
+            for b in ready])
+        for block, h in zip(ready, digests):
+            block.__dict__["header"] = h
+        waiting = [b for b in waiting if b]
+    return [b.block_hash for b in blocks]
+
+
 class _HashOnFirstRead:
-    """`Block.block_hash`: the hash ``header`` holds, or computes if it is a
-    callable, stored in the block on the first read, so that later reads
-    are plain attribute reads."""
+    """`Block.block_hash`: the hash ``header`` holds or computes
+    (`block_hashes`), stored in the block on the first read, so that later
+    reads are plain attribute reads."""
 
     def __get__(self, block, owner=None):
         if block is None:
             return self
-        h = block.header
-        if type(h) is not bytes:
-            h = block.__dict__["header"] = h()
-        block.__dict__["block_hash"] = h
+        if type(block.header) is not bytes:
+            block_hashes([block])
+        h = block.__dict__["block_hash"] = block.header
         return h
 
 
 @dataclass(frozen=True)
 class Block:
     number: int
-    # the block hash, or until `block_hash` is first read a callable that
-    # computes it: a keccak header riding in its chain's next runs
-    # (`codec.hash_header`)
+    # the block hash, or until `block_hash` is first read a `keccak.Sponge`
+    # riding in its chain's next runs (`codec.hash_header`) or an
+    # `_AwaitingParent`
     header: object = field(repr=False, compare=False)
-    parent_hash: bytes
+    # the parent's hash, or the parent block if its hash was not known when
+    # this block sealed (read `parent_hash`)
+    parent: object = field(repr=False, compare=False)
     tick: int
     transactions: tuple
     events: tuple
@@ -158,10 +205,17 @@ class Block:
     # hashes, concatenated; computed when first needed
     block_hash = _HashOnFirstRead()
 
+    @property
+    def parent_hash(self) -> bytes:
+        p = self.parent
+        return p if type(p) is bytes else p.block_hash
+
     def __getstate__(self) -> dict:
-        # pickled and copied with its hash, whether or not it was read yet
+        # pickled and copied with its hashes, whether or not they were read
+        # yet, and without the link to its parent
         h = self.block_hash
-        return {**vars(self), "header": h, "block_hash": h}
+        return {**vars(self), "header": h, "block_hash": h,
+                "parent": self.parent_hash}
 
 
 @dataclass(frozen=True)
@@ -252,7 +306,7 @@ class Chain:
             number=0,
             # number, parent hash, tick and salt, all zero; no tx or event
             header=hash_header(config.hash_alg, bytes(56)),
-            parent_hash=ZERO32,
+            parent=ZERO32,
             tick=0,
             transactions=(),
             events=(),
@@ -362,22 +416,32 @@ class Chain:
                     events.append(EventLog(emitter, name, attrs,
                                            tx.tx_hash, number))
         self._produced += 1
-        alg, last = self.config.hash_alg, self.all_blocks[-1]
-        # the last block's header, if unfinished, rides in the events' run;
-        # the parent's hash below and an orphaned head's finish the rest, so
-        # only the new block's header may stay unfinished
+        alg = self.config.hash_alg
+        # the last block's header, if it is a `Sponge`, rides in the events'
+        # run
         digests = hash_many(alg, [_event_preimage(e) for e in events],
-                            carry=last.header)
-        if last is not parent:
-            last.block_hash
-        header = hash_header(alg, b"".join([
-            number.to_bytes(8, "big"), parent.block_hash,
-            tick.to_bytes(8, "big"), self._produced.to_bytes(8, "big"),
-            *[t.tx_hash for t in included], *digests]))
+                            carry=self.all_blocks[-1].header)
+        # a header with events is one an actor reads (a request's block): if
+        # it has not finished riding, it finishes here, in this quiet seal,
+        # not in the relay's busy tick that reads it. A header still waiting
+        # for its parent's hash waits on, since its walk may be long
+        if parent.events and type(parent.header) is Sponge:
+            parent.block_hash
+        tail = b"".join([tick.to_bytes(8, "big"),
+                         self._produced.to_bytes(8, "big"),
+                         *[t.tx_hash for t in included], *digests])
+        known = parent.header  # the parent's hash, if known without hashing
+        if type(known) is Sponge:
+            known = known.digest  # None until its last block has ridden
+        if type(known) is bytes:
+            header = hash_header(alg, number.to_bytes(8, "big") + known + tail)
+            link = known
+        else:
+            header, link = _AwaitingParent(tail), parent
         return Block(
             number=number,
             header=header,
-            parent_hash=parent.block_hash,
+            parent=link,
             tick=tick,
             transactions=tuple(included),
             events=tuple(events),

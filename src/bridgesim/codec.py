@@ -77,7 +77,8 @@ def hash_many(alg: str, datas: list[bytes], memo=None,
 def hash_header(alg: str, data: bytes):
     """The block hash of header bytes ``data``. Keccak returns it as a
     `Sponge` that rides as ``carry`` in the chain's next `hash_many` runs
-    and finishes when called; other algorithms hash it at once."""
+    and finishes when called, or never if no one reads it; other algorithms
+    hash it at once, so their headers never wait for a parent's hash."""
     if alg == "keccak256":
         return Sponge(data)
     return hash_bytes(alg, data)

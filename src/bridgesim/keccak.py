@@ -55,13 +55,17 @@ message's digest is read after its last block; a slot whose message has
 ended absorbs zero blocks until the run ends. A batch costs as many
 permutations as its longest message has blocks left to absorb.
 
-A block header is one `Sponge`, a message absorbed over several runs. It
-is carried whole into its chain's next runs, the next tx batch's and the
-next seal's events run (the stage overlap of software pipelining, Lam, PLDI
-1988): each run's header slot absorbs the blocks the header (``carry``)
-still lacks, one per permutation, and reads its digest after its last. A
-hash read before then absorbs what is left at W = 1, so the slot saves
-about one W = 1 permutation per block that rides.
+A block header sealed on a known parent hash is one `Sponge`, a message
+absorbed over several runs. It is carried whole into its chain's next runs,
+the next tx batch's and the next seal's events run (the stage overlap of
+software pipelining, Lam, PLDI 1988): each run's header slot absorbs the
+blocks the header (``carry``) still lacks, one per permutation, and reads
+its digest after its last. A hash read before then absorbs what is left at
+W = 1, so the slot saves about one W = 1 permutation per block that rides;
+a hash no one reads is never finished. A header sealed before its parent's
+hash was known is no `Sponge` (`chain._AwaitingParent`): when it is read, it
+is hashed whole in a `keccak256_many` run, beside the other headers whose
+parents' hashes are known by then (`chain.block_hashes`).
 
 `keccak256_many` takes an optional memo from its caller that maps a
 message's first 136-byte block to the 25 lanes after one Keccak-f

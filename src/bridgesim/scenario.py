@@ -36,6 +36,7 @@ from .chain import (
     InvalidReorg,
     Transaction,
     ViewCorruption,
+    block_hashes,
 )
 from .codec import (
     HASH_ALGS,
@@ -481,10 +482,6 @@ class World:
             post=self.post,
         )
         self._workload = sorted(config.workload, key=lambda a: (a["tick"],))
-        # quiescent ticks after which `run` stops, twice that while paused
-        self.grace = (config.sign_timeout_ticks * (config.max_retries + 2)
-                      + self.source.config.finality_depth
-                      + self.dest.config.finality_depth + 10)
         self._alarm_in_every_gap = any(
             chain.config.block_time_ticks > config.liveness_timeout_ticks
             for chain in self.chains.values())
@@ -532,8 +529,10 @@ class World:
                 self.alarms.append(("liveness", name, self.tick))
             # a reorg seals depth + 1 blocks, so block prev.number still exists
             shown = view.get_block(prev.number)
-            if shown is not prev and shown.block_hash != prev.block_hash:
-                self.alarms.append(("reorg", name, self.tick))
+            if shown is not prev:
+                now, then = block_hashes([shown, prev])  # side by side
+                if now != then:
+                    self.alarms.append(("reorg", name, self.tick))
             self._seen[name] = head, quiet
             if head.number <= prev.number:
                 continue
@@ -782,15 +781,24 @@ class World:
             return False
         return not any(self.inboxes.values()) and self.bridge.idle()
 
+    def settled(self) -> bool:
+        """Nothing can change any more: quiescent, and no faulty view, the
+        relay's or a signatory's, still waits for its chain to seal the
+        block it corrupts."""
+        if not self.quiescent():
+            return False
+        views = [self.bridge.source_view, self.bridge.dest_view,
+                 *(s.chain_view for s in self.signatories)]
+        return not any(
+            v.corruption is not None
+            and v.corruption.block_number > v.head_number() for v in views)
+
     def run(self) -> ScenarioReport:
-        quiet = 0
+        """Step until the world is `settled`, or to ``max_ticks``."""
         while self.tick < self.config.max_ticks:
             self.step()
-            quiet = quiet + 1 if self.quiescent() else 0
-            if quiet >= self.grace and not self.bridge.paused:
+            if self.settled():
                 break
-            if quiet >= 2 * self.grace:
-                break  # paused bridge with nothing else pending
         return self.build_report()
 
     # -- reporting -----------------------------------------------------------

@@ -269,7 +269,7 @@ class TestPipeline:
         assert report.delivered == []
         assert report.stalls == [[0, "signatureTimeout"]]
         assert report.violations == []
-        assert report.end_tick == 101
+        assert report.end_tick == 40
 
 
 class TestChainMonitoring:

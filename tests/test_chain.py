@@ -1,12 +1,16 @@
 """Simulated chain: ordering, reorgs, undo-log rollback, canonical reads, dumps."""
 
+import copy
+import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bridgesim import (
+    Block,
     Chain,
     ChainConfig,
     DuplicateTransaction,
@@ -17,9 +21,16 @@ from bridgesim import (
     blake2b256,
     encode_function_call,
 )
-from bridgesim.chain import ChainError, Revert, _event_preimage, _tx_preimage
+from bridgesim import keccak
+from bridgesim.chain import (
+    ChainError,
+    Revert,
+    _AwaitingParent,
+    block_hashes,
+    _event_preimage,
+    _tx_preimage,
+)
 from bridgesim.codec import hash_bytes
-from bridgesim.keccak import Sponge
 from keccak_ref import keccak256_ref
 from state_dump import dump_state
 
@@ -517,18 +528,24 @@ class TestDeterminism:
 
 
 class TestHeaderPipeline:
-    """A keccak block's header finishes in its chain's next runs, or at
-    once when its hash is read first."""
+    """A keccak block's hash is computed when it, or a child's parent hash,
+    is first read: its header rides in its chain's next runs if its
+    parent's hash was known when it sealed, and otherwise waits for that
+    hash."""
 
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 100)),
-                    max_size=30))
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 100)),
+                    max_size=30), st.randoms(use_true_random=False))
     @example([(0, 5), (1, 0), (0, 5), (1, 0), (3, 0), (4, 100), (0, 3),
-              (2, 0), (4, 3)])
+              (2, 0), (4, 3)], random.Random(0))
+    @example([(1, 0)] * 6 + [(5, 6), (0, 1), (1, 0), (2, 0), (3, 2),
+                             (4, 7)], random.Random(1))
+    @example([(1, 0)] * 6 + [(3, 2), (6, 2)], random.Random(2))
     @settings(max_examples=40, deadline=None)
-    def test_every_hash_equals_reference(self, ops):
+    def test_every_hash_equals_reference(self, ops, rng):
         chain = make_chain()
         for step, (op, arg) in enumerate(ops, 1):
             head = chain.head_number()
+            made = chain.all_blocks
             if op == 0:  # a batch of 1-6 txs
                 specs = [(sender, STORE, encode_function_call(
                     "setValue(uint128)", [arg + k]), 0)
@@ -542,19 +559,89 @@ class TestHeaderPipeline:
                 chain.mine_block(tick=step)
             elif op == 3 and head >= 1:
                 chain.inject_reorg(depth=1 + arg % head)
-            elif op == 4:  # read a hash, the head's included
-                block = chain.get_block(arg % (head + 1))
-                assert block.block_hash == reference_hash(block)
-            # at most one unfinished header: the last block made's
-            unfinished = [b for b in chain.all_blocks
-                          if type(b.header) is Sponge
-                          and b.header.digest is None]
-            assert unfinished in ([], chain.all_blocks[-1:])
-        for block in chain.all_blocks:
-            assert block.block_hash == reference_hash(block)
+            elif op == 4:  # read a hash first: an orphan's, the head's
+                block = made[arg % len(made)]
+                got = block.block_hash
+                assert got == reference_hash(block)
+            elif op == 5:  # read a parent hash first; checked below
+                made[arg % len(made)].parent_hash
+            elif op == 6:  # read two hashes together: a reorg's branches
+                pair = [made[arg % len(made)], made[-1 - arg % len(made)]]
+                got = block_hashes(pair)
+                assert got == [reference_hash(b) for b in pair]
+        blocks = list(chain.all_blocks)
+        rng.shuffle(blocks)  # the rest of the reads, in any order
+        for block in blocks:
+            got = block.block_hash
+            assert got == reference_hash(block)
         for number in range(1, chain.head_number() + 1):
             assert (chain.get_block(number).parent_hash
                     == chain.get_block(number - 1).block_hash)
+
+    def test_a_read_hashes_the_unread_blocks_below_it(self):
+        chain = make_chain()
+        set_value(chain, 1)
+        for t in range(1, 12):
+            chain.mine_block(tick=t)
+        # block 1 seals on genesis's hash, which its tx run finished. Block
+        # 1 holds an event, so block 2's seal finishes its header; block
+        # 2's, with none, is left unfinished, and the nine empty blocks
+        # after it wait for it. A read of the head hashes them all
+        assert type(chain.get_block(1).header) is bytes
+        assert chain.get_block(2).header.digest is None
+        assert all(type(chain.get_block(n).header) is _AwaitingParent
+                   for n in range(3, 12))
+        head = chain.get_block(11)
+        assert head.block_hash == reference_hash(head)
+        assert all(type(chain.get_block(n).header) is bytes
+                   for n in range(1, 12))
+
+    def test_a_reorg_read_hashes_both_branches_side_by_side(
+            self, monkeypatch):
+        chain = make_chain()
+        for t in range(1, 9):
+            chain.mine_block(tick=t)
+        old = chain.get_block(8)
+        chain.inject_reorg(depth=4)
+        new = chain.get_block(8)
+        widths = Counter()
+        permute = keccak._permute
+
+        def counted(s, mask=keccak._M, rcs=keccak._ROUND_CONSTANTS):
+            widths["W = 1" if mask == keccak._M else "packed"] += 1
+            return permute(s, mask, rcs)
+
+        monkeypatch.setattr(keccak, "_permute", counted)
+        assert block_hashes([new, old]) == [reference_hash(new),
+                                            reference_hash(old)]
+        # genesis, then blocks 1-4 below the fork one at a time, then the
+        # two branches' blocks 5-8 in pairs: 9 calls, not 13
+        assert widths == {"W = 1": 5, "packed": 4}
+
+    @staticmethod
+    def unread_chain(length: int) -> Block:
+        """The head of a keccak chain of ``length`` empty blocks, no hash
+        of which was read: each header waits on its parent's."""
+        chain = make_chain()
+        for t in range(1, length + 1):
+            chain.mine_block(tick=t)
+        head = chain.get_block(length)
+        assert type(head.header) is _AwaitingParent
+        return head
+
+    def test_a_read_walks_a_long_chain_without_recursion(self):
+        head = self.unread_chain(5000)
+        assert head.block_hash == reference_hash(head)
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_a_long_unread_chain_copies_with_its_hashes(self, how):
+        # a copy stores the hashes, not the link to the parent, so it does
+        # not recurse through the 5,000 blocks below
+        head = self.unread_chain(5000)
+        copied = (pickle.loads(pickle.dumps(head)) if how == "pickle"
+                  else copy.deepcopy(head))
+        assert copied.parent == copied.parent_hash == head.parent_hash
+        assert copied.block_hash == head.block_hash == reference_hash(head)
 
 
 class TestViews:

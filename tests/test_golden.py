@@ -43,58 +43,58 @@ def digest(config):
 
 GOLDEN = {
     "happy_100":
-        "c8e9780e422e9ef8a78188d29e78ef7ad94d3d76dfc2ba8877bba2ba94910e49",
+        "30f66d37728ee4a71d27e181dc5524820391b296d0f2c12505d8fbb6ca90dfb4",
     "fault_mix":
-        "7360e4045a989a74a48cf4a6056ffeed42505211c2ceaa84472057f7d25c09b8",
+        "941e08c57cee587eaba362192f60de3f6da8bb7fd5c9e0daa528de8f64076635",
     "relay_restarts":
-        "7965352a502ec93e4b0b13c290940b5b73ab800743cae9f969e044ac967271e5",
+        "3c79792fb4ab17743b18b8b6f21df5fa360400c92015050dee1398723ec15cae",
     "dest_drop_relay_tx":
-        "368d2658cfb2c5ed8dfe7cf1675dfad3cd9e457c54b38762fecefc8dc44f7bd4",
+        "e2fb58aaffbfef7c487bab3f3dfe060f3dae0216e3700f20c9fb848510a7a90b",
     "dest_drop_at_finality":
-        "c0c3f2007fcbec0998ff4304f9becb1a92ed2398ef5e485eae56c419b57439a7",
+        "aa45ad5cfc9be6f0089c7e58e9b8f4ac17f5269a6ee989793d208cd7954a58d6",
     "forge_shared_id":
-        "f704ea3c15affdb2d0f70b6922fc2142f2992ff0e33e6bbab08734ef98475e2b",
+        "39e921091aa94109c4077f8f7c0402e3719dab17c4669319ec0dba3b75a70f2b",
     "pause_resume":
-        "5d2e9f3492770c46d5968e709b9297968663d755165cc6ff015f35f550b77bfd",
+        "0e62aa2aa3cc7efca89bb8cd3bb55a6115aefab1ebf291c0876368fb059fcd14",
     "stalled_dest":
         "d12f2a63039fe2488f8f0b78833be6968caa63e5c3cbd41a02f31a21628447e1",
 }
 
 SUITE_GOLDEN = {
     "happy_path":
-        "539e28f16d63378782b408bb734788366a91d0002d1bd2576fa7ff87f2c61e39",
+        "d37bd3fb5a7274d66524a343f3bc1b35587f6a64b32cc97402001a839e0b688d",
     "source_infra_node":
-        "3fa60f17a7efdc9cbd7e2a558e9bc393a89956c8e648c89ad23bbde7691ab9ee",
+        "23b1b2b6ea00a56ebdc83822f27e2fcb111368b9a13a174285c41edc213c5177",
     "source_infra_quorum":
-        "111ecec3aed4cdcc2a13d96398c3174b4435be9c4cd02b2286b741b317d9116c",
+        "737e9812579e1b2d4a52e5d4124c2a2851886146e46f81eb24614af05aa4a2cd",
     "dest_infra":
-        "e07b518d56e0c5ba7e69c45b5209f7ea7716af03c56f4051c1625ba049d9fdd9",
+        "c84a82a8a118c72afd764a9128cfd2a6cccdf515e7b0847de34a50209d5074f4",
     "adapter_source_attack":
-        "f38c6d4e839f06f9e983594b332eea804a181cea24648b86a76c55e9c30dec26",
+        "95761393855a4ddce5a89ac2708636951b76cd9a88c31fa8df83e332ddfbe2c7",
     "adapter_dest_attack":
-        "5f39f06978ad14beca83869a829ce1cb51c20a3280cc7f45e1e021db7a5057d2",
+        "8ba3073e27b0bbcd0aa0be9909db25a8db8e5793f8758771a27c6d48a04c0746",
     "bridge_forge":
-        "de3e71e5d8455725875ebadec11c7d2084fc41d8a7f515238e1c816b4024db07",
+        "2fd402aa69ba0830ddb69659287badc358a86bfa94cc54fbc6b2beaee9e11dcb",
     "bridge_submit_invalid":
-        "7cd0e91e7351cd924d474340de91468a5fecdf27232960029da25f62823a7b02",
+        "7c828da9ea676907b9da4612cc7127c5e48cacaee7343dcbdec706ff6fbaa32c",
     "bridge_censor":
-        "61ff7979b31fc3371742c935216ba6f48aa0ff6cf7df94c22fa880967262e454",
+        "fea5875432e0a0d03797c7b469ba5d507748c7ed675533e77bdfd21d10c4e3b2",
     "bridge_replay":
-        "dc79a3177bf2df320c34d4b16dcb8ec7af9d1df3349dea64b9bb896f660e94ac",
+        "8c413d484f059ecea34fe39961527e9aef92a827e926eaefc52c6b7c5fab5d01",
     "bridge_flood":
-        "b8047f88684a66ed1f2ca8ed3fb6477b6ded46c01e4bc16af125a144ac0c1c8e",
+        "d0ac96319ab191b52cf9a8641789a6beee2f838810445314a0058e9df3f35f92",
     "signatories_refuse":
-        "62ceed721925c1c7d31d321214704ecf906f76f4b27bfb5847ebd23233184843",
+        "beb1b8c608570b887929c858f20d692b2fa550ea999be3669a20d26c66986705",
     "signatories_wrong_signature":
-        "7cd0e91e7351cd924d474340de91468a5fecdf27232960029da25f62823a7b02",
+        "7c828da9ea676907b9da4612cc7127c5e48cacaee7343dcbdec706ff6fbaa32c",
     "operator_key_reuse":
-        "5c22c2bdadbf7c899b8c38584855ec5920e21745c9442cc2159967101a680fff",
+        "3d420a6536967f8f602edb7f9e058564bd2a1916539c36a96f6ddcfe1c02bee3",
     "bridge_and_signatories":
-        "c887cd75d7488e73ae7663d15b6c5b4eb1b50a9081435a55402a1487027f514a",
+        "c645de85d3962012d9bd0ff0f4e90e5f40123c0ddce6e8f9ef739376f378b154",
     "deep_reorg":
-        "3e3c93a38f0519fd756667068a89c7e011a9b66f8575dda9ee933b769c7a6a32",
+        "2428ac3c6b72de031224ceb97800bea96f716d93c19f6d2adf360d15ea3cf1ce",
     "shallow_reorg":
-        "4583ed4566d5ae386fc0f07733f01ddcdb380908cbcadf4292492014cc0bd233",
+        "61dec89428f757af96a5dcf72b3e48d69e06887879365311c288857bd5d4c832",
 }
 
 

@@ -25,8 +25,24 @@ ALICE = blake2b256(b"acct:alice")
 SRC_ADAPTER = blake2b256(b"contract:src-adapter")
 DST_ADAPTER = blake2b256(b"contract:dst-adapter")
 STORE = blake2b256(b"contract:store")
+MIMIC = blake2b256(b"contract:mimic")
 RELAYER = keygen(b"\x31" * 32)
 SIGNER = keygen(b"\x32" * 32)
+
+
+class ProcessedMimic:
+    """Emits an event named Processed under the dest adapter's address from
+    any call: an event the oracle would read, from a tx that is no
+    processTransfer call."""
+
+    address = MIMIC
+
+    def __init__(self):
+        self.state = {}
+
+    def dispatch(self, ctx, sender, value, payload) -> None:
+        ctx.emit(DST_ADAPTER, "Processed",
+                 [("transferId", (0).to_bytes(32, "big"))])
 
 
 def build_pair():
@@ -153,3 +169,19 @@ class TestCausalityOracle:
         assert v.dest_block_number == dest.tx_index[tx.tx_hash]
         assert v.dest_tx_hash == tx.tx_hash
 
+    def test_processed_event_of_a_tx_that_is_no_process_call_is_skipped(self):
+        # the mimic's tx carries no transfer, so the oracle passes its
+        # Processed event by instead of decoding the call as a delivery,
+        # and goes on to check the invented delivery after it
+        source, dest = build_pair()
+        dest.register_contract(ProcessedMimic())
+        tx = dest.make_transaction(sender=ALICE, recipient=MIMIC,
+                                   payload=b"not a process call")
+        dest.submit_transaction(tx)
+        dest.mine_block(tick=1)
+        assert [(e.emitter, e.name) for e in dest.blocks[1].events] == [
+            (DST_ADAPTER, "Processed")]
+        assert audit(source, dest) == []
+        process_on_dest(dest, message_for(None))
+        assert [(v.dest_block_number, v.reason)
+                for v in audit(source, dest)] == [(2, "noSourceRequest")]
