@@ -31,7 +31,9 @@ longest message, 3) and the microseconds per message of `keccak256_many`
 Last, the Keccak-f calls of one batch of each benchmark workload at seed 7
 (the inputs `perfbench/workloads.py` generates, each World set up and run
 from a cold selector cache, as perfbench runs a batch), in all and by
-packing width W: an exact count, where the times above are noisy.
+packing width W: an exact count, where the times above are noisy. A batch
+of several Worlds (`threat_sweep`, one per threat-matrix row) also gets one
+line per World, so that a change in the total shows which row it is in.
 
 Each figure is the median over the repetitions; every repetition times all
 widths, in reverse order on odd repetitions, so a drift in the host's speed
@@ -69,22 +71,29 @@ def per_call(fn, number: int) -> float:
     return (time.perf_counter() - t0) / number * 1e6
 
 
-def batch_permutations(bs, workload, seed: int) -> Counter:
-    """Keccak-f calls by packing width W in one batch of ``workload``."""
-    keccak, permute, widths = bs.keccak, bs.keccak._permute, Counter()
+def batch_permutations(bs, workload, seed: int) -> list[tuple[str, Counter]]:
+    """Keccak-f calls by packing width W of each World in one batch of
+    ``workload``, with its label, in batch order."""
+    keccak, permute, rows = bs.keccak, bs.keccak._permute, []
 
     def counted(s, mask=keccak._M, rcs=keccak._ROUND_CONSTANTS):
-        widths[(mask.bit_length() + 64) // 128] += 1  # 128 W - 64 bits
+        rows[-1][1][(mask.bit_length() + 64) // 128] += 1  # 128 W - 64 bits
         return permute(s, mask, rcs)
 
     bs.codec.selector.cache_clear()
     keccak._permute = counted
     try:
         for item in workload.items(bs, seed):
+            rows.append((item.label, Counter()))
             bs.scenario.World(item.config).run()
     finally:
         keccak._permute = permute
-    return widths
+    return rows
+
+
+def calls_line(name: str, widths: Counter) -> str:
+    return f"{name:>27} {sum(widths.values()):>6}" + "".join(
+        f"  W = {w}: {n}" for w, n in sorted(widths.items()))
 
 
 def main(argv=None) -> int:
@@ -190,11 +199,14 @@ def main(argv=None) -> int:
         f" {c} {statistics.median(v):.1f}" for c, v in tx_times.items()))
     print(f"mixed lengths {MIXED} bytes at W = {len(MIXED)}: permutations "
           f"{len(calls)} message_us {statistics.median(mixed_times):.1f}")
-    print(f"\nKeccak-f calls in one batch at seed {SEED}:")
+    print(f"\nKeccak-f calls in one batch at seed {SEED}, and in each World of"
+          " a batch of several:")
     for name, workload in workloads.WORKLOADS.items():
-        widths = batch_permutations(bs, workload, SEED)
-        print(f"{name:>13} {sum(widths.values()):>6}" + "".join(
-            f"  W = {w}: {n}" for w, n in sorted(widths.items())))
+        rows = batch_permutations(bs, workload, SEED)
+        print(calls_line(name, sum((w for _, w in rows), Counter())))
+        if len(rows) > 1:
+            for label, widths in rows:
+                print(calls_line(label, widths))
     return 0
 
 

@@ -10,10 +10,10 @@ keccak block whose parent's hash was known when it sealed keeps its header
 as one `keccak.Sponge`, carried whole into its chain's next packed runs; one
 sealed before its parent's hash was known keeps a link to its parent and the
 rest of its header (`_AwaitingParent`), and the first read hashes it and
-each such ancestor, oldest first (`block_hashes`, which hashes two branches
-of a reorg side by side). A block whose hash no one reads, such as an empty
-block after the last request, is never hashed. A block with events is one
-an actor reads, so the next seal finishes its `Sponge` if riding has not.
+each such ancestor, oldest first, one header at a time (`_hash_branch`). A
+block whose hash no one reads, such as an empty block after the last
+request, is never hashed. A block with events is one an actor reads, so the
+next seal finishes its `Sponge` if riding has not.
 
 State is rolled back by one undo log: every write to `balances`,
 `executed_seq` or a registered contract's `state` (nested maps included)
@@ -143,45 +143,31 @@ class _AwaitingParent:
         self.tail = tail
 
 
-def block_hashes(blocks) -> list[bytes]:
-    """The hash of each of ``blocks``. Each unhashed ancestor a header
-    covers is hashed first, oldest first, in a loop: one packed run per
-    round, holding every header whose parent's hash is known by then. So
-    the two branches of a reorg cost one Keccak-f call per block of the
-    longer, not of both."""
-    waiting, seen = [], set()  # unhashed branches, each newest first
-    for block in blocks:
-        branch = []
-        while type(block.header) is _AwaitingParent and id(block) not in seen:
-            seen.add(id(block))
-            branch.append(block)
-            block = block.parent
-        if type(block.header) is Sponge:  # the branch's root, at W = 1
-            block.__dict__["header"] = block.header()
-        if branch:
-            waiting.append(branch)
-    while waiting:
-        ready = [b.pop() for b in waiting
-                 if type(b[-1].parent.header) is bytes]
-        digests = hash_many("keccak256", [b"".join([
-            b.number.to_bytes(8, "big"), b.parent.header, b.header.tail])
-            for b in ready])
-        for block, h in zip(ready, digests):
-            block.__dict__["header"] = h
-        waiting = [b for b in waiting if b]
-    return [b.block_hash for b in blocks]
+def _hash_branch(block) -> None:
+    """Hash ``block`` and each unhashed ancestor its header covers: walk
+    back to the first ancestor whose header holds or computes its hash,
+    then hash the branch oldest first, one header at a time (W = 1)."""
+    branch = []
+    while type(block.header) is _AwaitingParent:
+        branch.append(block)
+        block = block.parent
+    if type(block.header) is Sponge:  # the branch's root
+        block.__dict__["header"] = block.header()
+    for b in reversed(branch):
+        b.__dict__["header"] = hash_bytes("keccak256", b"".join([
+            b.number.to_bytes(8, "big"), b.parent.header, b.header.tail]))
 
 
 class _HashOnFirstRead:
     """`Block.block_hash`: the hash ``header`` holds or computes
-    (`block_hashes`), stored in the block on the first read, so that later
+    (`_hash_branch`), stored in the block on the first read, so that later
     reads are plain attribute reads."""
 
     def __get__(self, block, owner=None):
         if block is None:
             return self
         if type(block.header) is not bytes:
-            block_hashes([block])
+            _hash_branch(block)
         h = block.__dict__["block_hash"] = block.header
         return h
 

@@ -64,8 +64,8 @@ its digest after its last. A hash read before then absorbs what is left at
 W = 1, so the slot saves about one W = 1 permutation per block that rides;
 a hash no one reads is never finished. A header sealed before its parent's
 hash was known is no `Sponge` (`chain._AwaitingParent`): when it is read, it
-is hashed whole in a `keccak256_many` run, beside the other headers whose
-parents' hashes are known by then (`chain.block_hashes`).
+is hashed whole at W = 1 once its parent's hash is known, after each such
+ancestor, oldest first (`chain._hash_branch`).
 
 `keccak256_many` takes an optional memo from its caller that maps a
 message's first 136-byte block to the 25 lanes after one Keccak-f

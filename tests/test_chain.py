@@ -26,7 +26,6 @@ from bridgesim.chain import (
     ChainError,
     Revert,
     _AwaitingParent,
-    block_hashes,
     _event_preimage,
     _tx_preimage,
 )
@@ -565,9 +564,9 @@ class TestHeaderPipeline:
                 assert got == reference_hash(block)
             elif op == 5:  # read a parent hash first; checked below
                 made[arg % len(made)].parent_hash
-            elif op == 6:  # read two hashes together: a reorg's branches
+            elif op == 6:  # read two hashes, one at a time: a reorg's
                 pair = [made[arg % len(made)], made[-1 - arg % len(made)]]
-                got = block_hashes(pair)
+                got = [b.block_hash for b in pair]
                 assert got == [reference_hash(b) for b in pair]
         blocks = list(chain.all_blocks)
         rng.shuffle(blocks)  # the rest of the reads, in any order
@@ -596,8 +595,7 @@ class TestHeaderPipeline:
         assert all(type(chain.get_block(n).header) is bytes
                    for n in range(1, 12))
 
-    def test_a_reorg_read_hashes_both_branches_side_by_side(
-            self, monkeypatch):
+    def test_each_branch_of_a_reorg_is_hashed_when_read(self, monkeypatch):
         chain = make_chain()
         for t in range(1, 9):
             chain.mine_block(tick=t)
@@ -612,11 +610,13 @@ class TestHeaderPipeline:
             return permute(s, mask, rcs)
 
         monkeypatch.setattr(keccak, "_permute", counted)
-        assert block_hashes([new, old]) == [reference_hash(new),
-                                            reference_hash(old)]
-        # genesis, then blocks 1-4 below the fork one at a time, then the
-        # two branches' blocks 5-8 in pairs: 9 calls, not 13
-        assert widths == {"W = 1": 5, "packed": 4}
+        assert new.block_hash == reference_hash(new)
+        # genesis, then blocks 1-4 below the fork and the new branch's 5-8,
+        # oldest first, one at a time
+        assert widths == {"W = 1": 9}
+        assert old.block_hash == reference_hash(old)
+        # the old branch's 5-8 only: block 4 holds its hash now
+        assert widths == {"W = 1": 13}
 
     @staticmethod
     def unread_chain(length: int) -> Block:

@@ -21,7 +21,7 @@ from bridgesim import (
 from bridgesim.adapter import encode_request_transfer
 from bridgesim.bridge import TransferJob
 from bridgesim.cli import main as cli_main
-from bridgesim.codec import TransferMessage
+from bridgesim.codec import TransferMessage, blake2b256, keygen
 from bridgesim import keccak
 from bridgesim.keccak import Sponge
 from bridgesim.scenario import (
@@ -417,6 +417,96 @@ class TestConfigMonitor:
         world, _ = self._run(workload=workload)
         assert not world.bridge.paused
         assert [j.state for j in world.bridge.jobs.values()] == ["done"]
+
+
+class TestReorgMonitor:
+    """The world's reorg check: by block identity, by hash only when both
+    blocks already hold theirs."""
+
+    @pytest.mark.parametrize("name, widths", [
+        ("deep_reorg", {"W = 1": 9}), ("shallow_reorg", {"W = 1": 5})])
+    def test_the_check_hashes_nothing(self, monkeypatch, name, widths):
+        # hashing both branches of the reorg in the monitor took 29 calls
+        # in deep_reorg tick 30 and 4 in shallow_reorg tick 4
+        got, in_monitor = Counter(), []
+        permute, monitor = keccak._permute, World._run_monitor
+
+        def counted(s, mask=keccak._M, rcs=keccak._ROUND_CONSTANTS):
+            got["W = 1" if mask == keccak._M else "packed"] += 1
+            got["monitor"] += bool(in_monitor)
+            return permute(s, mask, rcs)
+
+        def watched(world):
+            in_monitor.append(True)
+            try:
+                monitor(world)
+            finally:
+                in_monitor.pop()
+
+        monkeypatch.setattr(keccak, "_permute", counted)
+        monkeypatch.setattr(World, "_run_monitor", watched)
+        codec.selector.cache_clear()
+        config = ScenarioConfig.from_json(
+            (THREATS / f"{name}.json").read_text())
+        report = World(config).run()
+        assert report.alarms == [["reorg", "source", report.end_tick]]
+        assert got.pop("monitor", 0) == 0
+        assert got == widths
+
+    # the relay's source view shows block 5 under a fake hash
+    FORGE_5 = {"action": "faulty_view", "target": "bridge", "corruption": {
+        "kind": "substitute_block_hash", "block_number": 5}}
+
+    @staticmethod
+    def alarms(*workload) -> list:
+        return World(ScenarioConfig(max_ticks=60, workload=[
+            *simple_workload(1), *workload])).run().alarms
+
+    def test_forged_copies_under_one_fake_hash_are_no_reorg(self):
+        # block 5 is the head when the tick 6 reorg replaces it: the view
+        # shows a new forged copy under the same fake hash, so only the
+        # tick 9 reorg, which replaces block 9, raises an alarm
+        assert self.alarms(
+            {"tick": 1, **self.FORGE_5},
+            {"tick": 6, "action": "inject_reorg", "depth": 1},
+            {"tick": 9, "action": "inject_reorg", "depth": 2},
+        ) == [["reorg", "source", 9]]
+
+    def test_a_view_forging_the_seen_head_is_a_reorg(self):
+        # the monitor saw the real block 5 at tick 5; from tick 6 the
+        # relay's view shows a forged copy of it
+        assert self.alarms({"tick": 6, **self.FORGE_5}) == [
+            ["reorg", "source", 6]]
+
+
+class TestAttackerKeys:
+    @pytest.fixture
+    def keys(self, monkeypatch):
+        made = []
+
+        def counted(seed):
+            made.append(seed)
+            return keygen(seed)
+
+        monkeypatch.setattr(scenario, "keygen", counted)
+        return made
+
+    def test_a_happy_world_makes_no_attacker_key(self, keys):
+        world = World(ScenarioConfig(workload=simple_workload(1)))
+        world.run()
+        assert len(keys) == 1 + len(world.config.signatory_modes)
+
+    def test_keys_are_made_when_an_action_names_them(self, keys):
+        config = ScenarioConfig.from_json(
+            (THREATS / "operator_key_reuse.json").read_text())
+        world = World(config)
+        world.run()
+        seed = config.seed.to_bytes(8, "big")
+        # the relayer's and the signatories' keys, then attackers 0 and 1
+        assert keys[1 + len(config.signatory_modes):] == [
+            blake2b256(b"attacker:%d:" % i + seed) for i in (0, 1)]
+        assert [world._attacker_key(i) for i in (0, 1)] == [
+            keygen(blake2b256(b"attacker:%d:" % i + seed)) for i in (0, 1)]
 
 
 class TestThreatMatrix:
